@@ -47,8 +47,8 @@ lint: vet
 # same file. `make benchcompare` gates the fresh file against the
 # previous generation's committed baseline: drift beyond 15% is printed
 # as a warning (smoke runs are noisy), growth beyond 2x fails.
-BENCH_GEN ?= 10
-BENCH_BASE ?= BENCH_9.json
+BENCH_GEN ?= 12
+BENCH_BASE ?= BENCH_10.json
 
 # Micro benchmarks first (benchjson rewrites the file), then the macro
 # load generator merges its per-class latency/throughput results under
@@ -68,8 +68,9 @@ benchfull:
 
 # 5-second macro smoke: boots the full in-process topology (primary,
 # streaming follower, edge-cached router), drives the persona mix, and
-# fails on any real error rate — the load generator itself cannot
-# bit-rot unnoticed.
+# fails on any real error rate or on any rejected collab op (the
+# collaborators send only ops valid for the package they read) — the
+# load generator itself cannot bit-rot unnoticed.
 loadgen-smoke:
 	$(GO) run ./cmd/grouptravel-loadgen -duration 5s -rate 60 -cities 2
 

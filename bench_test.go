@@ -341,6 +341,78 @@ func benchDistinct(b *testing.B, distinct bool) {
 	}
 }
 
+// planMixSessions is the length of BenchmarkBuildPlanMix's stream.
+const planMixSessions = 200
+
+var (
+	planMixOnce sync.Once
+	planMixCity *dataset.City
+	planMixJobs []planMixJob
+)
+
+// planMixJob is one build of the plan-like stream.
+type planMixJob struct {
+	group *profile.Profile
+	q     query.Query
+	k     int
+}
+
+// BenchmarkBuildPlanMix replays a plan-like build stream on a fresh engine
+// per op: a full-size DefaultSpec city, the default 64-entry cluster
+// cache, and sessions of k in 3..10 times the 15 non-empty category masks
+// (one POI per category, unbounded budget) — 120 clustering keys — with
+// groups aggregated by the four consensus functions. Each session builds
+// and then rebuilds the same key for a second group, the refine path. One
+// op is the whole stream, so the cache's miss/hit mix is the same in every
+// op; ns/build is the mean per package build.
+func BenchmarkBuildPlanMix(b *testing.B) {
+	planMixOnce.Do(func() {
+		var err error
+		if planMixCity, err = dataset.Generate(dataset.DefaultSpec("PlanMix", geo.Point{Lat: 48.8566, Lon: 2.3522}, 12)); err != nil {
+			panic(err)
+		}
+		src := rng.New(12)
+		for s := 0; s < planMixSessions; s++ {
+			k := 3 + src.Intn(8)
+			mask := 1 + src.Intn(15)
+			var c [poi.NumCategories]int
+			for cat := range c {
+				if mask&(1<<cat) != 0 {
+					c[cat] = 1
+				}
+			}
+			q := query.MustNew(c[0], c[1], c[2], c[3], query.Default().Budget)
+			method := consensus.Methods[src.Intn(len(consensus.Methods))]
+			for build := 0; build < 2; build++ {
+				g, err := profile.GenerateUniformGroup(planMixCity.Schema, 3+src.Intn(4), src)
+				if err != nil {
+					panic(err)
+				}
+				gp, err := consensus.GroupProfile(g, method)
+				if err != nil {
+					panic(err)
+				}
+				planMixJobs = append(planMixJobs, planMixJob{group: gp, q: q, k: k})
+			}
+		}
+	})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		eng, err := core.NewEngine(planMixCity)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for _, job := range planMixJobs {
+			if _, err := eng.Build(job.group, job.q, core.DefaultParams(job.k)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(planMixJobs)), "ns/build")
+}
+
 // --- Ablation: tension sweep and extended consensus methods ---
 
 func BenchmarkTensionSweep(b *testing.B) {

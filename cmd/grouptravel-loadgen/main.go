@@ -30,8 +30,10 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
+	"net/http/cookiejar"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -92,6 +94,13 @@ func main() {
 	if res.Requests == 0 || res.errorRate() > *maxErrRate {
 		fmt.Fprintf(os.Stderr, "loadgen: FAIL: %d/%d requests errored (rate %.4f > %.4f)\n",
 			res.Errors, res.Requests, res.errorRate(), *maxErrRate)
+		os.Exit(1)
+	}
+	// Collaborators send only ops that are valid for the package they
+	// just read, so any rejected op is a regression (in the persona or in
+	// the read-your-writes path it relies on), not load.
+	if cs := res.Classes[telemetry.ClassCollab]; cs != nil && cs.Rejects > 0 {
+		fmt.Fprintf(os.Stderr, "loadgen: FAIL: %d of %d collab requests rejected (4xx)\n", cs.Rejects, cs.Count)
 		os.Exit(1)
 	}
 }
@@ -197,15 +206,27 @@ func bootTopology(nCities, nFollowers int, edgeCache bool, seed int64) (string, 
 
 // --- workload discovery ---
 
-// cityInfo is what a persona needs to write valid requests: the city key
-// and the rating-vector dimensions per category.
+// cityInfo is what a persona needs to write valid requests: the city key,
+// the rating-vector dimensions per category, and the groups and packages
+// built so far.
 type cityInfo struct {
 	key  string
 	dims map[string]int
 
 	mu     sync.Mutex
 	groups []int
-	pkgs   []int
+	pkgs   []*pkgInfo
+}
+
+// pkgInfo is what personas know about a package: its group's size (op
+// members are indexed inside it), the city commit seq of its latest
+// write, and whether a collaborator holds it for a read-modify-write.
+// id and members never change; seq and busy are guarded by cityInfo.mu.
+type pkgInfo struct {
+	id      int
+	members int
+	seq     int64
+	busy    bool
 }
 
 func (ci *cityInfo) addGroup(id int) {
@@ -214,12 +235,13 @@ func (ci *cityInfo) addGroup(id int) {
 	ci.mu.Unlock()
 }
 
-func (ci *cityInfo) addPkg(id int) {
+func (ci *cityInfo) addPkg(id, members int, seq int64) {
 	ci.mu.Lock()
-	ci.pkgs = append(ci.pkgs, id)
+	ci.pkgs = append(ci.pkgs, &pkgInfo{id: id, members: members, seq: seq})
 	ci.mu.Unlock()
 }
 
+// pick draws a group id and a package id, -1 when there is none yet.
 func (ci *cityInfo) pick(r *rand.Rand) (group, pkg int) {
 	ci.mu.Lock()
 	defer ci.mu.Unlock()
@@ -228,9 +250,36 @@ func (ci *cityInfo) pick(r *rand.Rand) (group, pkg int) {
 		group = ci.groups[r.Intn(len(ci.groups))]
 	}
 	if len(ci.pkgs) > 0 {
-		pkg = ci.pkgs[r.Intn(len(ci.pkgs))]
+		pkg = ci.pkgs[r.Intn(len(ci.pkgs))].id
 	}
 	return group, pkg
+}
+
+// checkout draws a package for a collaborator and holds it until release,
+// so no two collaborators edit one package at once, and returns it with
+// its latest commit seq. It returns nil when there is no package or the
+// drawn one is held.
+func (ci *cityInfo) checkout(r *rand.Rand) (p *pkgInfo, seq int64) {
+	ci.mu.Lock()
+	defer ci.mu.Unlock()
+	if len(ci.pkgs) == 0 {
+		return nil, 0
+	}
+	p = ci.pkgs[r.Intn(len(ci.pkgs))]
+	if p.busy {
+		return nil, 0
+	}
+	p.busy = true
+	return p, p.seq
+}
+
+// release returns a checked-out package, recording the seq of the write
+// made while it was held (0 if none).
+func (ci *cityInfo) release(p *pkgInfo, seq int64) {
+	ci.mu.Lock()
+	defer ci.mu.Unlock()
+	p.busy = false
+	p.seq = max(p.seq, seq)
 }
 
 // discoverCities learns the serving cities and their schemas through the
@@ -407,7 +456,7 @@ func run(routerURL string, cities []*cityInfo, window time.Duration, rate, zipfS
 			defer wg.Done()
 			defer func() { <-sem }()
 			r := rand.New(rand.NewSource(seed ^ (n+1)*0x5851F42D4C957F2D))
-			persona(routerURL, city, r, res, n)
+			persona(routerURL, city, r, res)
 		}(n, city)
 	}
 	wg.Wait()
@@ -431,23 +480,35 @@ func run(routerURL string, cities []*cityInfo, window time.Duration, rate, zipfS
 // persona runs one scripted visitor: mostly readers (the hot-city
 // browsing the edge cache lives on), with builders, collaborators, and
 // refiners supplying the mutation stream and the read-your-writes
-// read-backs.
-func persona(base string, city *cityInfo, r *rand.Rand, res *results, n int64) {
-	session := fmt.Sprintf("persona-%d", n)
-	switch p := r.Float64(); {
-	case p < 0.70:
+// read-backs. Writers carry a cookie jar of their own: the router echoes
+// every commit token as a gt-session cookie and the jar presents it on
+// the read-back, the stateless read-your-writes path a browser takes.
+func persona(base string, city *cityInfo, r *rand.Rand, res *results) {
+	p := r.Float64()
+	if p < 0.70 {
 		reader(base, city, r, res)
+		return
+	}
+	jar, err := cookiejar.New(nil)
+	if err != nil {
+		panic(err)
+	}
+	c := &http.Client{Timeout: httpClient.Timeout, Transport: httpClient.Transport, Jar: jar}
+	switch {
 	case p < 0.82:
-		builder(base, city, r, res, session)
+		builder(base, city, r, res, c)
 	case p < 0.94:
-		collaborator(base, city, r, res, session)
+		collaborator(base, city, r, res, c)
 	default:
-		refiner(base, city, r, res, session)
+		refiner(base, city, r, res, c)
 	}
 }
 
-// do issues one timed, classified request.
-func do(res *results, method, url string, body any, session string) (status int, reply []byte) {
+// do issues one timed, classified request with client c (nil: the shared
+// cookie-less client). A positive minSeq is sent as an explicit
+// X-GT-Min-Seq read floor. It returns the status, the body and the
+// commit seq the response carries in X-GT-Seq (0 if none).
+func do(res *results, c *http.Client, method, url string, body any, minSeq int64) (status int, reply []byte, seq int64) {
 	var rd *strings.Reader
 	if body != nil {
 		b, err := json.Marshal(body)
@@ -465,23 +526,27 @@ func do(res *results, method, url string, body any, session string) (status int,
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	if session != "" {
-		req.Header.Set(router.HeaderSession, session)
+	if minSeq > 0 {
+		req.Header.Set(router.HeaderMinSeq, strconv.FormatInt(minSeq, 10))
+	}
+	if c == nil {
+		c = httpClient
 	}
 	class := telemetry.Classify(method, req.URL.Path)
 	t0 := time.Now()
-	resp, err := httpClient.Do(req)
+	resp, err := c.Do(req)
 	d := time.Since(t0)
 	if err != nil {
 		res.record(class, d, 0, err)
-		return 0, nil
+		return 0, nil, 0
 	}
 	defer resp.Body.Close()
 	var buf strings.Builder
 	_, rerr := io.Copy(&buf, resp.Body)
 	d = time.Since(t0) // the full response, not just the status line
 	res.record(class, d, resp.StatusCode, rerr)
-	return resp.StatusCode, []byte(buf.String())
+	seq, _ = strconv.ParseInt(resp.Header.Get(router.HeaderSeq), 10, 64)
+	return resp.StatusCode, []byte(buf.String()), seq
 }
 
 func reader(base string, city *cityInfo, r *rand.Rand, res *results) {
@@ -489,24 +554,27 @@ func reader(base string, city *cityInfo, r *rand.Rand, res *results) {
 	for i := 0; i < 3; i++ {
 		switch pick := r.Intn(4); {
 		case pick == 0:
-			do(res, "GET", base+"/cities/"+city.key, nil, "")
+			do(res, nil, "GET", base+"/cities/"+city.key, nil, 0)
 		case pick == 1:
-			do(res, "GET", fmt.Sprintf("%s/cities/%s/pois?k=%d", base, city.key, 4+r.Intn(5)), nil, "")
+			do(res, nil, "GET", fmt.Sprintf("%s/cities/%s/pois?k=%d", base, city.key, 4+r.Intn(5)), nil, 0)
 		case pick == 2 && group >= 0:
-			do(res, "GET", fmt.Sprintf("%s/cities/%s/groups/%d", base, city.key, group), nil, "")
+			do(res, nil, "GET", fmt.Sprintf("%s/cities/%s/groups/%d", base, city.key, group), nil, 0)
 		case pick == 3 && pkg >= 0:
-			do(res, "GET", fmt.Sprintf("%s/cities/%s/packages/%d", base, city.key, pkg), nil, "")
+			do(res, nil, "GET", fmt.Sprintf("%s/cities/%s/packages/%d", base, city.key, pkg), nil, 0)
 		default:
-			do(res, "GET", base+"/cities/"+city.key, nil, "")
+			do(res, nil, "GET", base+"/cities/"+city.key, nil, 0)
 		}
 	}
 }
 
 var consensusFns = []string{"avg", "leastmisery", "pairwise", "variance"}
 
-func builder(base string, city *cityInfo, r *rand.Rand, res *results, session string) {
+// builderMembers is the size of every group a builder creates.
+const builderMembers = 3
+
+func builder(base string, city *cityInfo, r *rand.Rand, res *results, c *http.Client) {
 	var members []map[string][]float64
-	for m := 0; m < 3; m++ {
+	for m := 0; m < builderMembers; m++ {
 		member := map[string][]float64{}
 		for _, cat := range poi.Categories {
 			v := make([]float64, city.dims[cat.String()])
@@ -520,7 +588,7 @@ func builder(base string, city *cityInfo, r *rand.Rand, res *results, session st
 	var g struct {
 		ID int `json:"id"`
 	}
-	status, body := do(res, "POST", base+"/cities/"+city.key+"/groups", map[string]any{"members": members}, session)
+	status, body, _ := do(res, c, "POST", base+"/cities/"+city.key+"/groups", map[string]any{"members": members}, 0)
 	if status != http.StatusCreated || json.Unmarshal(body, &g) != nil {
 		return
 	}
@@ -529,46 +597,73 @@ func builder(base string, city *cityInfo, r *rand.Rand, res *results, session st
 	var p struct {
 		ID int `json:"id"`
 	}
-	status, body = do(res, "POST", base+"/cities/"+city.key+"/packages", map[string]any{
+	status, body, seq := do(res, c, "POST", base+"/cities/"+city.key+"/packages", map[string]any{
 		"group":     g.ID,
 		"consensus": consensusFns[r.Intn(len(consensusFns))],
 		"k":         4 + r.Intn(3),
-	}, session)
+	}, 0)
 	if status != http.StatusCreated || json.Unmarshal(body, &p) != nil {
 		return
 	}
-	city.addPkg(p.ID)
+	city.addPkg(p.ID, builderMembers, seq)
 	// Read-your-writes: the build must be visible to its own session
 	// immediately, lag or no lag.
-	do(res, "GET", fmt.Sprintf("%s/cities/%s/packages/%d", base, city.key, p.ID), nil, session)
+	do(res, c, "GET", fmt.Sprintf("%s/cities/%s/packages/%d", base, city.key, p.ID), nil, 0)
 }
 
-func collaborator(base string, city *cityInfo, r *rand.Rand, res *results, session string) {
-	_, pkg := city.pick(r)
-	if pkg < 0 {
-		builder(base, city, r, res, session) // nothing to customize yet
+// collaborator customizes a package: it reads the package, replaces a POI
+// of one of its days on behalf of a member of its group, and reads the
+// package back. The first read carries the package's latest commit seq as
+// an explicit floor — earlier collaborators' edits are other sessions'
+// writes, which this arrival's cookie does not cover — so the op always
+// names a POI the package holds.
+func collaborator(base string, city *cityInfo, r *rand.Rand, res *results, c *http.Client) {
+	p, floor := city.checkout(r)
+	if p == nil {
+		builder(base, city, r, res, c) // nothing free to customize
 		return
 	}
-	do(res, "POST", fmt.Sprintf("%s/cities/%s/packages/%d/ops", base, city.key, pkg), map[string]any{
-		"member": r.Intn(3), "op": "replace", "ci": 0, "poi": 0,
-	}, session)
-	do(res, "GET", fmt.Sprintf("%s/cities/%s/packages/%d", base, city.key, pkg), nil, session)
+	var seq int64
+	defer func() { city.release(p, seq) }()
+	url := fmt.Sprintf("%s/cities/%s/packages/%d", base, city.key, p.id)
+	var pkg struct {
+		Days []struct {
+			Items []struct {
+				ID int `json:"id"`
+			} `json:"items"`
+		} `json:"days"`
+	}
+	status, body, _ := do(res, c, "GET", url, nil, floor)
+	if status != http.StatusOK || json.Unmarshal(body, &pkg) != nil || len(pkg.Days) == 0 {
+		return
+	}
+	day := r.Intn(len(pkg.Days))
+	items := pkg.Days[day].Items
+	if len(items) == 0 {
+		return
+	}
+	status, _, seq = do(res, c, "POST", url+"/ops", map[string]any{
+		"member": r.Intn(p.members), "op": "replace", "ci": day, "poi": items[r.Intn(len(items))].ID,
+	}, 0)
+	if status == http.StatusOK {
+		do(res, c, "GET", url, nil, 0) // read-your-writes through the cookie
+	}
 }
 
-func refiner(base string, city *cityInfo, r *rand.Rand, res *results, session string) {
+func refiner(base string, city *cityInfo, r *rand.Rand, res *results, c *http.Client) {
 	_, pkg := city.pick(r)
 	if pkg < 0 {
-		builder(base, city, r, res, session)
+		builder(base, city, r, res, c)
 		return
 	}
 	strategy := "batch"
 	if r.Intn(2) == 0 {
 		strategy = "individual"
 	}
-	do(res, "POST", fmt.Sprintf("%s/cities/%s/packages/%d/refine", base, city.key, pkg), map[string]any{
+	do(res, c, "POST", fmt.Sprintf("%s/cities/%s/packages/%d/refine", base, city.key, pkg), map[string]any{
 		"strategy": strategy, "rebuild": true, "k": 4,
-	}, session)
-	do(res, "GET", fmt.Sprintf("%s/cities/%s/packages/%d", base, city.key, pkg), nil, session)
+	}, 0)
+	do(res, c, "GET", fmt.Sprintf("%s/cities/%s/packages/%d", base, city.key, pkg), nil, 0)
 }
 
 // --- reporting ---

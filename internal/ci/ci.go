@@ -84,13 +84,15 @@ func (c *CI) Clone() *CI {
 // Builder constructs the best valid CI near a centroid. One Builder is
 // reusable across centroids and refinement rounds.
 //
-// A Builder is an immutable configuration: none of its fields are written
-// after construction, and every Build call keeps its working state (the
-// per-category rankings, the current selection, the budget-repair
-// bookkeeping) in a per-call buildState. One Builder therefore serves any
-// number of goroutines concurrently, provided the caller does not mutate
-// its fields or the exclude sets it passes while builds are in flight —
-// core.Engine relies on this to construct a package's CIs in parallel.
+// A Builder is an immutable configuration: none of its exported fields are
+// written after construction, and every Build call keeps its working state
+// (the per-category rankings, the current selection, the budget-repair
+// bookkeeping) in a per-call buildState. The one derived value, the
+// personalization table, is computed once on first use under a sync.Once.
+// One Builder therefore serves any number of goroutines concurrently,
+// provided the caller does not mutate its fields or the exclude sets it
+// passes once builds have started — core.Engine relies on this to
+// construct a package's CIs in parallel.
 type Builder struct {
 	Coll  *poi.Collection
 	Query query.Query
@@ -104,6 +106,13 @@ type Builder struct {
 	// Norm converts km distances to the normalized [0,1] distances of
 	// Eq. 1; use Coll.Normalizer() unless experimenting.
 	Norm geo.Normalizer
+
+	// affinity[cat][i] is cos(®i, ®g) for the i-th POI of
+	// Coll.ByCategory(cat), for the categories the query requests. It
+	// depends only on the item and the group, so one table serves every
+	// centroid and refinement round a package's builds rank.
+	affinityOnce sync.Once
+	affinity     [poi.NumCategories][]float64
 }
 
 // Validate checks the builder configuration.
@@ -121,13 +130,42 @@ func (b *Builder) Validate() error {
 }
 
 // Score returns the per-item objective contribution for an item relative
-// to centroid mu: β(1−d(i,μ)) + γ·cos(®i, ®g_cat).
+// to centroid mu: β(1−d(i,μ)) + γ·cos(®i, ®g_cat). It is the score Build
+// ranks by, bit for bit.
 func (b *Builder) Score(it *poi.POI, mu geo.Point) float64 {
-	s := b.Beta * (1 - b.Norm.Distance(it.Coord, mu))
-	if b.Group != nil && b.Gamma > 0 {
+	s := b.Beta * (1 - b.Norm.PreparedDistance(geo.Prepare(it.Coord), geo.Prepare(mu)))
+	if b.personalized() {
 		s += b.Gamma * vec.Cosine(it.Vector, b.Group.Vector(it.Cat))
 	}
 	return s
+}
+
+func (b *Builder) personalized() bool { return b.Group != nil && b.Gamma > 0 }
+
+// affinities returns the personalization table, filling it on first use,
+// or nil for a non-personalized builder. vec.CosineNormB with the group
+// vector's norm hoisted per category is bit-identical to the vec.Cosine
+// in Score.
+func (b *Builder) affinities() *[poi.NumCategories][]float64 {
+	if !b.personalized() {
+		return nil
+	}
+	b.affinityOnce.Do(func() {
+		for _, cat := range poi.Categories {
+			if b.Query.Counts[cat] == 0 {
+				continue
+			}
+			gv := b.Group.Vector(cat)
+			gn := gv.Norm()
+			cands := b.Coll.ByCategory(cat)
+			row := make([]float64, len(cands))
+			for i, it := range cands {
+				row[i] = vec.CosineNormB(it.Vector, gv, gn)
+			}
+			b.affinity[cat] = row
+		}
+	})
+	return &b.affinity
 }
 
 // scored pairs a candidate with its score for one centroid.
@@ -224,65 +262,101 @@ func (b *Builder) Build(mu geo.Point, exclude map[int]bool) (*CI, error) {
 
 // rank scores and orders the candidates of every requested category.
 //
-// The scoring loop is the hottest code in a build: it hoists the group
-// vector and its norm out of the per-candidate loop (vec.CosineNormB) and
-// sorts with slices.SortFunc on the concrete slice — the reflection-based
-// sort.Slice swapper alone used to account for a quarter of the build
-// path's allocations. The comparator is a strict total order (score
-// descending, POI id ascending), so the unstable pdqsort yields the same
-// deterministic ranking the previous stable-by-accident ordering did.
+// The scoring loop is the hottest code in a build. Candidates come with
+// prepared coordinates from the collection and personalization from the
+// builder's affinity table, so one score is a few multiplies and a square
+// root. The ranking is a strict total order (score descending, POI id
+// ascending). With an unbounded budget selectTop reads only the first
+// want entries of each category, so rank keeps just those, by insertion
+// into a want-long list — under a strict order that is exactly the full
+// sort's prefix. A bounded budget keeps and sorts the whole ranking,
+// because repairBudget scans all of it.
 func (st *buildState) rank(mu geo.Point, exclude map[int]bool) error {
 	b := st.b
-	personalize := b.Group != nil && b.Gamma > 0
+	center := geo.Prepare(mu)
+	affinity := b.affinities()
+	topOnly := b.Query.Unbounded()
 	for _, cat := range poi.Categories {
 		want := b.Query.Counts[cat]
 		if want == 0 {
 			continue
 		}
 		cands := b.Coll.ByCategory(cat)
+		coords := b.Coll.PreparedByCategory(cat)
+		var cos []float64
+		if affinity != nil {
+			cos = affinity[cat]
+		}
+		size := len(cands)
+		if topOnly {
+			size = want
+		}
 		list := st.perCat[cat][:0]
-		if cap(list) < len(cands) {
-			list = make([]scored, 0, len(cands))
+		if cap(list) < size {
+			list = make([]scored, 0, size)
 		}
-		var gv vec.Vector
-		var gn float64
-		if personalize {
-			gv = b.Group.Vector(cat)
-			gn = gv.Norm()
-		}
-		for _, it := range cands {
+		avail := 0
+		for i, it := range cands {
 			if exclude != nil && exclude[it.ID] {
 				continue
 			}
-			// Same arithmetic as Builder.Score, with the group-vector
-			// norm computed once per category instead of once per item.
-			s := b.Beta * (1 - b.Norm.Distance(it.Coord, mu))
-			if personalize {
-				s += b.Gamma * vec.CosineNormB(it.Vector, gv, gn)
+			avail++
+			// The arithmetic of Builder.Score.
+			s := b.Beta * (1 - b.Norm.PreparedDistance(coords[i], center))
+			if cos != nil {
+				s += b.Gamma * cos[i]
 			}
-			list = append(list, scored{it, s})
-		}
-		if len(list) < want {
-			st.perCat[cat] = list
-			return fmt.Errorf("ci: only %d available %s POIs, query wants %d",
-				len(list), cat, want)
-		}
-		slices.SortFunc(list, func(a, b scored) int {
-			switch {
-			case a.score > b.score:
-				return -1
-			case a.score < b.score:
-				return 1
-			case a.item.ID < b.item.ID:
-				return -1
-			case a.item.ID > b.item.ID:
-				return 1
+			if topOnly {
+				list = pushTop(list, scored{it, s}, want)
+			} else {
+				list = append(list, scored{it, s})
 			}
-			return 0
-		})
+		}
 		st.perCat[cat] = list
+		if avail < want {
+			return fmt.Errorf("ci: only %d available %s POIs, query wants %d",
+				avail, cat, want)
+		}
+		if !topOnly {
+			slices.SortFunc(list, compareRank)
+		}
 	}
 	return nil
+}
+
+// ranksBefore is the ranking's strict total order: higher score first,
+// then lower POI id.
+func ranksBefore(a, b scored) bool {
+	return a.score > b.score || a.score == b.score && a.item.ID < b.item.ID
+}
+
+func compareRank(a, b scored) int {
+	switch {
+	case ranksBefore(a, b):
+		return -1
+	case ranksBefore(b, a):
+		return 1
+	}
+	return 0
+}
+
+// pushTop offers c to list, which holds the best candidates seen so far
+// in rank order, and keeps at most want of them.
+func pushTop(list []scored, c scored, want int) []scored {
+	n := len(list)
+	if n < want {
+		list = append(list, c)
+	} else if ranksBefore(c, list[n-1]) {
+		n-- // c displaces the current last
+	} else {
+		return list
+	}
+	for n > 0 && ranksBefore(c, list[n-1]) {
+		list[n] = list[n-1]
+		n--
+	}
+	list[n] = c
+	return list
 }
 
 // selectTop takes the greedy top-k of each category's ranking.

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"grouptravel/internal/fuzzy"
-	"grouptravel/internal/geo"
 	"grouptravel/internal/poi"
 	"grouptravel/internal/query"
 )
@@ -70,14 +69,23 @@ const cacheShards = 16
 // SetCacheCap overrides it; <= 0 means unbounded.
 const DefaultCacheCap = 64
 
-// clusterEntry is one memoized clustering run. ready is closed once res,
-// pts and err are final; waiters block on it instead of recomputing.
+// clustering is one memoized fuzzy clustering plus the Eq. 1 clustering
+// term evaluated on it. That term depends on Params.F, which is not part
+// of the key: eq1 holds it for the F of the Build that computed the entry
+// (every caller in practice), and Build recomputes it for any other F.
+type clustering struct {
+	res *fuzzy.Result
+	f   float64
+	eq1 float64 // fuzzy.Eq1Value(relevant points, res, city normalizer, f)
+}
+
+// clusterEntry is one memoized clustering run. ready is closed once val
+// and err are final; waiters block on it instead of recomputing.
 // lastUse is a logical timestamp from the cache's clock, bumped on every
 // hit, that orders entries for LRU eviction.
 type clusterEntry struct {
 	ready   chan struct{}
-	res     *fuzzy.Result
-	pts     []geo.Point
+	val     *clustering
 	err     error
 	lastUse atomic.Int64
 }
@@ -128,7 +136,7 @@ func newClusterCache(capacity int) *clusterCache {
 
 // getOrCompute returns the memoized clustering for key, running compute at
 // most once per key no matter how many goroutines arrive concurrently.
-func (cc *clusterCache) getOrCompute(key clusterKey, compute func() (*fuzzy.Result, []geo.Point, error)) (*fuzzy.Result, []geo.Point, error) {
+func (cc *clusterCache) getOrCompute(key clusterKey, compute func() (*clustering, error)) (*clustering, error) {
 	sh := &cc.shards[key.shard()]
 	sh.mu.RLock()
 	e, ok := sh.entries[key]
@@ -147,7 +155,7 @@ func (cc *clusterCache) getOrCompute(key clusterKey, compute func() (*fuzzy.Resu
 			// error instead of leaving them blocked on ready forever; the
 			// panic then propagates to this caller.
 			defer func() {
-				if e.res == nil && e.err == nil {
+				if e.val == nil && e.err == nil {
 					e.err = fmt.Errorf("core: clustering computation for %+v panicked", key)
 				}
 				if e.err != nil {
@@ -166,14 +174,14 @@ func (cc *clusterCache) getOrCompute(key clusterKey, compute func() (*fuzzy.Resu
 					cc.evictToCap()
 				}
 			}()
-			e.res, e.pts, e.err = compute()
-			return e.res, e.pts, e.err
+			e.val, e.err = compute()
+			return e.val, e.err
 		}
 		sh.mu.Unlock()
 	}
 	e.lastUse.Store(cc.clock.Add(1))
 	<-e.ready
-	return e.res, e.pts, e.err
+	return e.val, e.err
 }
 
 // evictToCap removes least-recently-used completed entries until the cache

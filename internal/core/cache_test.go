@@ -142,3 +142,30 @@ func TestPartialCategoryQuery(t *testing.T) {
 		t.Fatalf("dimensions: %+v", d)
 	}
 }
+
+// TestEq1MemoFollowsF pins the memoized Eq. 1 clustering term: a cache hit
+// from a Build with a different F must report the objective a fresh
+// engine computes for that F, not the memoized one.
+func TestEq1MemoFollowsF(t *testing.T) {
+	e := engine(t)
+	gp := randomGroupProfile(t, e, 35)
+	params := DefaultParams(4)
+	if _, err := e.Build(gp, query.Default(), params); err != nil {
+		t.Fatal(err)
+	}
+	params.F = 0.3
+	hit, err := e.Build(gp, query.Default(), params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := e.CacheMisses(); got != 1 {
+		t.Fatalf("F is not part of the clustering key: misses = %d, want 1", got)
+	}
+	fresh, err := engine(t).Build(gp, query.Default(), params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hit.ObjVal != fresh.ObjVal {
+		t.Fatalf("objective after a cache hit with F=0.3 is %v, fresh engine %v", hit.ObjVal, fresh.ObjVal)
+	}
+}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"grouptravel/internal/fuzzy"
-	"grouptravel/internal/geo"
 	"grouptravel/internal/query"
 )
 
@@ -146,7 +145,7 @@ func TestClusterCachePanicSafety(t *testing.T) {
 				t.Error("panic did not propagate to the computing goroutine")
 			}
 		}()
-		cc.getOrCompute(key, func() (*fuzzy.Result, []geo.Point, error) {
+		cc.getOrCompute(key, func() (*clustering, error) {
 			close(computing)
 			<-release
 			panic("boom")
@@ -170,8 +169,8 @@ func TestClusterCachePanicSafety(t *testing.T) {
 	// are not.
 	waiterDone := make(chan error, 1)
 	go func() {
-		res, _, err := cc.getOrCompute(key, func() (*fuzzy.Result, []geo.Point, error) {
-			return &fuzzy.Result{}, nil, nil
+		res, err := cc.getOrCompute(key, func() (*clustering, error) {
+			return &clustering{res: &fuzzy.Result{}}, nil
 		})
 		if err == nil && res == nil {
 			waiterDone <- fmt.Errorf("waiter got nil result and nil error")
@@ -199,8 +198,8 @@ func TestClusterCachePanicSafety(t *testing.T) {
 	}
 
 	// The key is retryable afterwards.
-	if _, _, err := cc.getOrCompute(key, func() (*fuzzy.Result, []geo.Point, error) {
-		return &fuzzy.Result{}, nil, nil
+	if _, err := cc.getOrCompute(key, func() (*clustering, error) {
+		return &clustering{res: &fuzzy.Result{}}, nil
 	}); err != nil {
 		t.Fatalf("retry after panic: %v", err)
 	}

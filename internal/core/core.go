@@ -125,9 +125,7 @@ func (tp *TravelPackage) Measure() metrics.Dimensions {
 // deterministic function of its inputs, so a concurrent Build returns the
 // same package the sequential path would.
 type Engine struct {
-	city   *dataset.City
-	points []geo.Point // coordinates of all POIs, aligned with city.POIs.All()
-
+	city  *dataset.City
 	cache *clusterCache
 }
 
@@ -139,11 +137,7 @@ func NewEngine(city *dataset.City) (*Engine, error) {
 	if city.POIs.Len() == 0 {
 		return nil, fmt.Errorf("core: city %q has no POIs", city.Name)
 	}
-	e := &Engine{city: city, cache: newClusterCache(DefaultCacheCap)}
-	for _, p := range city.POIs.All() {
-		e.points = append(e.points, p.Coord)
-	}
-	return e, nil
+	return &Engine{city: city, cache: newClusterCache(DefaultCacheCap)}, nil
 }
 
 // City returns the engine's city.
@@ -173,10 +167,10 @@ func (e *Engine) Build(g *profile.Profile, q query.Query, params Params) (*Trave
 		return nil, err
 	}
 	key := clusterKey{k: params.K, m: params.M, iters: params.ClusterIters, seed: params.Seed, catsMask: mask}
-	res, pts, err := e.cache.getOrCompute(key, func() (*fuzzy.Result, []geo.Point, error) {
+	cl, err := e.cache.getOrCompute(key, func() (*clustering, error) {
 		pts := e.relevantPoints(q)
 		if len(pts) < params.K {
-			return nil, nil, fmt.Errorf("core: %d relevant POIs for K = %d", len(pts), params.K)
+			return nil, fmt.Errorf("core: %d relevant POIs for K = %d", len(pts), params.K)
 		}
 		fc := fuzzy.Config{
 			K: params.K, M: params.M,
@@ -184,13 +178,14 @@ func (e *Engine) Build(g *profile.Profile, q query.Query, params Params) (*Trave
 		}
 		res, err := fuzzy.Cluster(pts, norm, fc)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		return res, pts, nil
+		return &clustering{res: res, f: params.F, eq1: fuzzy.Eq1Value(pts, res, norm, params.F)}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	res := cl.res
 
 	builder := &ci.Builder{
 		Coll:  e.city.POIs,
@@ -251,7 +246,7 @@ func (e *Engine) Build(g *profile.Profile, q query.Query, params Params) (*Trave
 		Params: params,
 		City:   e.city.Name,
 	}
-	tp.ObjVal = e.objective(tp, res, pts, norm, builder)
+	tp.ObjVal = e.objective(tp, cl, norm, builder)
 	return tp, nil
 }
 
@@ -273,12 +268,13 @@ func itemKey(c *ci.CI) string {
 }
 
 // parallelCIThreshold is the package size at which buildAll fans out one
-// goroutine per centroid. At the paper's K = 5 a single CI build is ~20µs:
-// fanning out mostly adds scheduling overhead, and — more important for a
-// loaded server — it lets ONE request monopolize cores that concurrent
-// requests (the engine's primary scaling axis) would use productively.
-// Large packages are where per-centroid work dominates and intra-build
-// parallelism pays; they fan out.
+// goroutine per centroid. A single CI build for the default query on a
+// full-size DefaultSpec city (1000 POIs) takes about 16µs on a 2-vCPU
+// Xeon VM: fanning out mostly adds scheduling overhead, and — more
+// important for a loaded server — it lets ONE request monopolize cores
+// that concurrent requests (the engine's primary scaling axis) would use
+// productively. Large packages are where per-centroid work dominates and
+// intra-build parallelism pays; they fan out.
 const parallelCIThreshold = 8
 
 // buildAll constructs one CI per centroid.
@@ -353,9 +349,14 @@ func (e *Engine) relevantPoints(q query.Query) []geo.Point {
 }
 
 // objective evaluates Eq. 1 at the returned solution: α times the
-// clustering term plus the per-CI construction terms.
-func (e *Engine) objective(tp *TravelPackage, res *fuzzy.Result, pts []geo.Point, norm geo.Normalizer, builder *ci.Builder) float64 {
-	total := tp.Params.Alpha * fuzzy.Eq1Value(pts, res, norm, tp.Params.F)
+// clustering term (memoized with the clustering) plus the per-CI
+// construction terms.
+func (e *Engine) objective(tp *TravelPackage, cl *clustering, norm geo.Normalizer, builder *ci.Builder) float64 {
+	eq1 := cl.eq1
+	if tp.Params.F != cl.f {
+		eq1 = fuzzy.Eq1Value(e.relevantPoints(tp.Query), cl.res, norm, tp.Params.F)
+	}
+	total := tp.Params.Alpha * eq1
 	for _, c := range tp.CIs {
 		total += builder.ObjectiveValue(c)
 	}

@@ -95,7 +95,12 @@ func Cluster(points []geo.Point, norm geo.Normalizer, cfg Config) (*Result, erro
 		return nil, fmt.Errorf("fuzzy: Tol = %v", cfg.Tol)
 	}
 
-	centroids := seedCentroids(points, cfg)
+	// Every distance the alternating updates take is point→centroid, so
+	// the points are prepared once per call and the centroids once per
+	// iteration (geo.Prepared): no trigonometry in the O(n·k) loops.
+	prepared := geo.PrepareAll(nil, points)
+	centroids := seedCentroids(points, prepared, cfg)
+	cprep := make([]geo.Prepared, cfg.K)
 	// One flat backing array for the whole membership matrix: n+1 small
 	// allocations become 2, and the rows sit contiguously in cache order.
 	weights := make([][]float64, n)
@@ -103,20 +108,19 @@ func Cluster(points []geo.Point, norm geo.Normalizer, cfg Config) (*Result, erro
 	for i := range weights {
 		weights[i] = back[i*cfg.K : (i+1)*cfg.K : (i+1)*cfg.K]
 	}
-	power := 2 / (cfg.M - 1)
 	workers := cfg.effectiveWorkers(n)
 
 	res := &Result{Centroids: centroids, Weights: weights}
 	for it := 0; it < cfg.MaxIters; it++ {
 		res.Iterations = it + 1
-		updateMemberships(points, centroids, weights, norm, power, workers)
+		updateMemberships(prepared, geo.PrepareAll(cprep, centroids), weights, norm, cfg.M, workers)
 		moved := updateCentroids(points, centroids, weights, cfg.M, workers)
 		if moved < cfg.Tol {
 			break
 		}
 	}
 	// Final membership pass against the converged centroids.
-	updateMemberships(points, centroids, weights, norm, power, workers)
+	updateMemberships(prepared, geo.PrepareAll(cprep, centroids), weights, norm, cfg.M, workers)
 	return res, nil
 }
 
@@ -150,40 +154,56 @@ func (cfg Config) effectiveWorkers(n int) int {
 // point heuristic: the first centroid is a random point, each next one is
 // drawn proportionally to squared distance from the closest chosen
 // centroid. Good spread at initialization is what lets the final TP cover
-// the city (representativity).
-func seedCentroids(points []geo.Point, cfg Config) []geo.Point {
+// the city (representativity). The closest-centroid distance of every
+// point is kept across draws and lowered by the newest centroid only, so
+// seeding costs O(n·k) distances, not O(n·k²).
+func seedCentroids(points []geo.Point, prepared []geo.Prepared, cfg Config) []geo.Point {
 	src := rng.New(cfg.Seed)
 	n := len(points)
 	centroids := make([]geo.Point, 0, cfg.K)
-	centroids = append(centroids, points[src.Intn(n)])
+	first := src.Intn(n)
+	centroids = append(centroids, points[first])
+	newest := prepared[first]
 	dist2 := make([]float64, n)
+	for i := range dist2 {
+		dist2[i] = math.Inf(1)
+	}
+	const r2 = geo.EarthRadiusKm * geo.EarthRadiusKm
 	for len(centroids) < cfg.K {
-		for i, p := range points {
-			best := math.Inf(1)
-			for _, c := range centroids {
-				if d := geo.Equirectangular(p, c); d < best {
-					best = d
-				}
+		for i, p := range prepared {
+			if d := p.SquaredRad(newest) * r2; d < dist2[i] {
+				dist2[i] = d
 			}
-			dist2[i] = best * best
 		}
-		centroids = append(centroids, points[src.WeightedIndex(dist2)])
+		next := src.WeightedIndex(dist2)
+		centroids = append(centroids, points[next])
+		newest = prepared[next]
 	}
 	return centroids
 }
 
-// updateMemberships recomputes the FCM memberships
-// w_ij = 1 / Σ_l (d_ij/d_il)^(2/(m−1)). A point coinciding with one or
-// more centroids splits its membership crisply among those centroids.
+// updateMemberships recomputes the FCM memberships. The textbook form
+// w_ij = 1 / Σ_l (d_ij/d_il)^(2/(m−1)) costs O(k²) per point; multiplying
+// its numerator and denominator by (d_i,min/d_ij)^(2/(m−1)) gives the equal
+// closed form
+//
+//	w_ij = t_ij / Σ_l t_il,   t_ij = (d_i,min² / d_ij²)^(1/(m−1)),
+//
+// which is O(k) per point and works on squared distances, so no square
+// root is taken; for the classic m = 2, t_ij is one division and no
+// math.Pow. Scaling by the row's nearest centroid keeps every t in (0,1]
+// and the sum in [1,k], so nothing overflows for m near 1. A point
+// coinciding with one or more centroids splits its membership crisply
+// among them.
 //
 // The update is row-independent, so with workers > 1 the rows of Weights
 // are partitioned into contiguous chunks, one goroutine each. Every row is
 // computed by exactly the same arithmetic in the same order as the
 // sequential path, so results are bit-identical at any worker count.
-func updateMemberships(points []geo.Point, centroids []geo.Point, weights [][]float64, norm geo.Normalizer, power float64, workers int) {
+func updateMemberships(points, centroids []geo.Prepared, weights [][]float64, norm geo.Normalizer, m float64, workers int) {
 	n := len(points)
 	if workers <= 1 {
-		membershipRows(points, centroids, weights, norm, power, 0, n)
+		membershipRows(points, centroids, weights, norm, m, 0, n)
 		return
 	}
 	chunk := (n + workers - 1) / workers
@@ -196,53 +216,63 @@ func updateMemberships(points []geo.Point, centroids []geo.Point, weights [][]fl
 		wg.Add(1)
 		go func(start, end int) {
 			defer wg.Done()
-			membershipRows(points, centroids, weights, norm, power, start, end)
+			membershipRows(points, centroids, weights, norm, m, start, end)
 		}(start, end)
 	}
 	wg.Wait()
 }
 
 // membershipRows updates Weights rows [start, end).
-func membershipRows(points []geo.Point, centroids []geo.Point, weights [][]float64, norm geo.Normalizer, power float64, start, end int) {
-	k := len(centroids)
-	d := make([]float64, k)
+func membershipRows(points, centroids []geo.Prepared, weights [][]float64, norm geo.Normalizer, m float64, start, end int) {
+	exp := 1 / (m - 1)
 	for i := start; i < end; i++ {
 		p := points[i]
-		row := weights[i]
-		// Batched distance kernel: one deg2rad of p per row instead of one
-		// per (row, centroid) pair; bit-identical to the scalar calls.
-		norm.DistancesTo(d, p, centroids)
-		zeros := 0
-		for _, v := range d {
-			if v == 0 {
-				zeros++
+		// row holds d_ij², then t_ij, then w_ij.
+		row := weights[i][:len(centroids)]
+		nearest := math.Inf(1)
+		for j, c := range centroids {
+			d2 := norm.PreparedSquared(p, c)
+			row[j] = d2
+			if d2 < nearest {
+				nearest = d2
 			}
 		}
-		if zeros > 0 {
-			// Crisp split among coincident centroids.
-			u := 1 / float64(zeros)
-			for j := range row {
-				if d[j] == 0 {
-					row[j] = u
-				} else {
-					row[j] = 0
-				}
-			}
+		if nearest == 0 {
+			crispSplit(row)
 			continue
 		}
-		for j := range row {
-			sum := 0.0
-			if power == 2 { // the classic m = 2: avoid math.Pow in the hot loop
-				for l := 0; l < k; l++ {
-					r := d[j] / d[l]
-					sum += r * r
-				}
-			} else {
-				for l := 0; l < k; l++ {
-					sum += math.Pow(d[j]/d[l], power)
-				}
+		sum := 0.0
+		for j, d2 := range row {
+			t := nearest / d2
+			if m != 2 {
+				t = math.Pow(t, exp)
 			}
-			row[j] = 1 / sum
+			row[j] = t
+			sum += t
+		}
+		inv := 1 / sum
+		for j, t := range row {
+			row[j] = t * inv
+		}
+	}
+}
+
+// crispSplit turns a row of squared distances with at least one zero
+// (coincident centroids) into equal memberships on those centroids and
+// zero elsewhere.
+func crispSplit(row []float64) {
+	zeros := 0
+	for _, d2 := range row {
+		if d2 == 0 {
+			zeros++
+		}
+	}
+	u := 1 / float64(zeros)
+	for j, d2 := range row {
+		if d2 == 0 {
+			row[j] = u
+		} else {
+			row[j] = 0
 		}
 	}
 }
@@ -251,33 +281,28 @@ func membershipRows(points []geo.Point, centroids []geo.Point, weights [][]float
 // points (the exact FCM update for squared distances), returning the
 // largest movement in km.
 //
-// With workers > 1 the clusters are striped across goroutines, each with
-// its own weight scratch. Every cluster's weighted sum still runs over the
-// points in sequential order (parallelism is across clusters, never within
-// one accumulation), so centroids are bit-identical at any worker count;
-// the move reduction is a max, which is order-independent.
+// One pass over the membership rows, in memory order, accumulates every
+// cluster's weighted sums. With workers > 1 the clusters are striped
+// across goroutines, each making that pass for its own clusters. Every
+// cluster's sums still run over the points in sequential order
+// (parallelism is across clusters, never within one accumulation), so
+// centroids are bit-identical at any worker count; the move reduction is a
+// max, which is order-independent.
 func updateCentroids(points []geo.Point, centroids []geo.Point, weights [][]float64, m float64, workers int) float64 {
 	k := len(centroids)
-	n := len(points)
 	moves := make([]float64, k)
 	if workers > k {
 		workers = k
 	}
 	if workers <= 1 {
-		w := make([]float64, n)
-		for j := 0; j < k; j++ {
-			moves[j] = centroidStep(points, centroids, weights, m, w, j)
-		}
+		centroidSteps(points, centroids, weights, m, moves, 0, 1)
 	} else {
 		var wg sync.WaitGroup
 		for wk := 0; wk < workers; wk++ {
 			wg.Add(1)
 			go func(wk int) {
 				defer wg.Done()
-				w := make([]float64, n)
-				for j := wk; j < k; j += workers {
-					moves[j] = centroidStep(points, centroids, weights, m, w, j)
-				}
+				centroidSteps(points, centroids, weights, m, moves, wk, workers)
 			}(wk)
 		}
 		wg.Wait()
@@ -291,40 +316,49 @@ func updateCentroids(points []geo.Point, centroids []geo.Point, weights [][]floa
 	return maxMove
 }
 
-// centroidStep recomputes centroid j, returning how far it moved in km
-// (0 for a dead cluster, whose centroid stays put).
-func centroidStep(points []geo.Point, centroids []geo.Point, weights [][]float64, m float64, w []float64, j int) float64 {
-	n := len(points)
-	total := 0.0
-	if m == 2 {
-		for i := 0; i < n; i++ {
-			x := weights[i][j]
-			w[i] = x * x
-			total += w[i]
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			w[i] = math.Pow(weights[i][j], m)
-			total += w[i]
+// centroidSteps recomputes centroids first, first+stride, ... and records
+// in moves how far each moved in km (0 for a dead cluster, whose centroid
+// stays put). The sums are those of geo.Centroid, in the same order.
+func centroidSteps(points []geo.Point, centroids []geo.Point, weights [][]float64, m float64, moves []float64, first, stride int) {
+	k := len(centroids)
+	type sums struct{ lat, lon, w float64 }
+	acc := make([]sums, k)
+	for i, p := range points {
+		row := weights[i]
+		for j := first; j < k; j += stride {
+			w := row[j]
+			if m == 2 {
+				w *= w
+			} else {
+				w = math.Pow(w, m)
+			}
+			a := &acc[j]
+			a.lat += w * p.Lat
+			a.lon += w * p.Lon
+			a.w += w
 		}
 	}
-	if total == 0 {
-		return 0 // dead cluster: leave the centroid where it is
+	for j := first; j < k; j += stride {
+		a := acc[j]
+		if a.w == 0 {
+			moves[j] = 0
+			continue
+		}
+		next := geo.Point{Lat: a.lat / a.w, Lon: a.lon / a.w}
+		moves[j] = geo.Equirectangular(centroids[j], next)
+		centroids[j] = next
 	}
-	next := geo.Centroid(points, w)
-	d := geo.Equirectangular(centroids[j], next)
-	centroids[j] = next
-	return d
 }
 
 // Objective evaluates the FCM program being minimized:
 // J = Σ_j Σ_i w_ij^m d(i,μ_j)² over normalized distances. Lower is better.
 func Objective(points []geo.Point, res *Result, norm geo.Normalizer, m float64) float64 {
+	centroids := geo.PrepareAll(nil, res.Centroids)
 	total := 0.0
 	for i, p := range points {
-		for j, c := range res.Centroids {
-			d := norm.Distance(p, c)
-			total += math.Pow(res.Weights[i][j], m) * d * d
+		pp := geo.Prepare(p)
+		for j, c := range centroids {
+			total += math.Pow(res.Weights[i][j], m) * norm.PreparedSquared(pp, c)
 		}
 	}
 	return total
@@ -334,10 +368,12 @@ func Objective(points []geo.Point, res *Result, norm geo.Normalizer, m float64) 
 // states it — Σ_j Σ_i w_ij^f (1 − d(i,μ_j)) — at the fitted solution, for
 // reporting. Higher is better.
 func Eq1Value(points []geo.Point, res *Result, norm geo.Normalizer, f float64) float64 {
+	centroids := geo.PrepareAll(nil, res.Centroids)
 	total := 0.0
 	for i, p := range points {
-		for j, c := range res.Centroids {
-			s := 1 - norm.Distance(p, c)
+		pp := geo.Prepare(p)
+		for j, c := range centroids {
+			s := 1 - norm.PreparedDistance(pp, c)
 			total += math.Pow(res.Weights[i][j], f) * s
 		}
 	}

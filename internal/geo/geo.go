@@ -220,17 +220,69 @@ func ApproxMaxPairwiseDistance(points []Point) float64 {
 	return BoundingRect(points).Diagonal()
 }
 
+// Prepared is a point readied for repeated equirectangular distance
+// evaluations: its coordinates in radians plus the sine and cosine of half
+// its latitude. The equirectangular x-term needs cos((φ1+φ2)/2), which the
+// angle-addition identity turns into cos(φ1/2)cos(φ2/2) − sin(φ1/2)sin(φ2/2):
+// two products per pair instead of four degree→radian conversions and a
+// math.Cos. Prepare a point once and measure it against many partners —
+// FCM points against centroids, a city's POIs against CI centres.
+//
+// Prepared distances agree with Equirectangular to the last few ulps; they
+// are not bit-identical to it.
+type Prepared struct {
+	lat, lon         float64 // radians
+	sinHalf, cosHalf float64 // sin(lat/2), cos(lat/2)
+}
+
+// Prepare converts a point for the prepared distance kernel.
+func Prepare(p Point) Prepared {
+	lat := deg2rad(p.Lat)
+	s, c := math.Sincos(lat / 2)
+	return Prepared{lat: lat, lon: deg2rad(p.Lon), sinHalf: s, cosHalf: c}
+}
+
+// PrepareAll prepares every point into dst, reallocating it only when its
+// capacity is short, and returns the len(points)-long result aligned with
+// points.
+func PrepareAll(dst []Prepared, points []Point) []Prepared {
+	if cap(dst) < len(points) {
+		dst = make([]Prepared, len(points))
+	}
+	dst = dst[:len(points)]
+	for i, p := range points {
+		dst[i] = Prepare(p)
+	}
+	return dst
+}
+
+// SquaredRad returns the squared equirectangular distance between a and b
+// in radians²; multiply by EarthRadiusKm² for km². It is symmetric bit for
+// bit.
+func (a Prepared) SquaredRad(b Prepared) float64 {
+	x := (b.lon - a.lon) * (a.cosHalf*b.cosHalf - a.sinHalf*b.sinHalf)
+	y := b.lat - a.lat
+	return x*x + y*y
+}
+
 // Normalizer rescales raw km distances into [0,1] by a fixed maximum, as
 // required by the normalized Euclidean distance of Eq. 1.
 type Normalizer struct {
-	max float64
+	max    float64
+	scale  float64 // EarthRadiusKm / max: radians to normalized units
+	scale2 float64 // scale², for squared distances
 }
 
 // NewNormalizer creates a Normalizer for the given maximum distance. A
 // non-positive max yields a normalizer that maps everything to 0 (all
 // points coincide).
 func NewNormalizer(maxDistance float64) Normalizer {
-	return Normalizer{max: maxDistance}
+	n := Normalizer{max: maxDistance}
+	if maxDistance > 0 {
+		n.scale = EarthRadiusKm / maxDistance
+		n.scale2 = n.scale * n.scale
+	}
+	return n
 }
 
 // NormalizerFor derives a Normalizer from a point set using the bounding
@@ -252,35 +304,25 @@ func (n Normalizer) Distance(a, b Point) float64 {
 	return d
 }
 
+// PreparedDistance is Distance on prepared points: the normalized
+// equirectangular distance in [0,1], clamped like Distance.
+func (n Normalizer) PreparedDistance(a, b Prepared) float64 {
+	d := math.Sqrt(a.SquaredRad(b)) * n.scale
+	if d > 1 {
+		return 1
+	}
+	return d
+}
+
+// PreparedSquared returns the squared normalized distance between prepared
+// points, clamped to [0,1] — PreparedDistance² without the square root.
+func (n Normalizer) PreparedSquared(a, b Prepared) float64 {
+	d2 := a.SquaredRad(b) * n.scale2
+	if d2 > 1 {
+		return 1
+	}
+	return d2
+}
+
 // Max returns the normalization constant in km.
 func (n Normalizer) Max() float64 { return n.max }
-
-// DistancesTo fills dst[j] with Distance(p, centroids[j]) for every
-// centroid. It is the batched form of Distance for the FCM membership
-// loop: p's degree→radian conversion is hoisted out of the loop and the
-// slices are pre-clipped so the inner loop runs without bounds checks or
-// function-call overhead. Each dst[j] is bit-identical to the scalar
-// Distance call — the arithmetic is the same, merely hoisted.
-func (n Normalizer) DistancesTo(dst []float64, p Point, centroids []Point) {
-	if len(dst) != len(centroids) {
-		panic(fmt.Sprintf("geo: DistancesTo length mismatch %d vs %d", len(dst), len(centroids)))
-	}
-	if n.max <= 0 {
-		for j := range dst {
-			dst[j] = 0
-		}
-		return
-	}
-	dst = dst[:len(centroids)]
-	la1, lo1 := deg2rad(p.Lat), deg2rad(p.Lon)
-	for j, c := range centroids {
-		la2, lo2 := deg2rad(c.Lat), deg2rad(c.Lon)
-		x := (lo2 - lo1) * math.Cos((la1+la2)/2)
-		y := la2 - la1
-		d := EarthRadiusKm * math.Sqrt(x*x+y*y) / n.max
-		if d > 1 {
-			d = 1
-		}
-		dst[j] = d
-	}
-}

@@ -257,3 +257,61 @@ func TestMidpoint(t *testing.T) {
 		t.Fatalf("midpoint = %v", m)
 	}
 }
+
+func TestPreparedMatchesEquirectangular(t *testing.T) {
+	src := rng.New(7)
+	for i := 0; i < 2000; i++ {
+		a := Point{Lat: src.Range(-70, 70), Lon: src.Range(-170, 170)}
+		b := Point{Lat: a.Lat + src.Range(-0.2, 0.2), Lon: a.Lon + src.Range(-0.2, 0.2)}
+		if i%2 == 0 { // far pairs too
+			b = Point{Lat: src.Range(-70, 70), Lon: src.Range(-170, 170)}
+		}
+		pa, pb := Prepare(a), Prepare(b)
+		if pa.SquaredRad(pb) != pb.SquaredRad(pa) {
+			t.Fatalf("SquaredRad not symmetric for %v, %v", a, b)
+		}
+		got := EarthRadiusKm * math.Sqrt(pa.SquaredRad(pb))
+		want := Equirectangular(a, b)
+		if math.Abs(got-want) > 1e-12*want+1e-12 {
+			t.Fatalf("prepared distance %v, Equirectangular %v (%v, %v)", got, want, a, b)
+		}
+	}
+	if d := Prepare(louvre).SquaredRad(Prepare(louvre)); d != 0 {
+		t.Fatalf("distance of a point to itself = %v", d)
+	}
+}
+
+func TestNormalizerPrepared(t *testing.T) {
+	src := rng.New(8)
+	pts := make([]Point, 300)
+	for i := range pts {
+		pts[i] = Point{Lat: src.Range(48.8, 48.92), Lon: src.Range(2.25, 2.42)}
+	}
+	n := NormalizerFor(pts)
+	prep := PrepareAll(nil, pts)
+	for i := range pts {
+		j := (i * 7) % len(pts)
+		d := n.PreparedDistance(prep[i], prep[j])
+		if want := n.Distance(pts[i], pts[j]); math.Abs(d-want) > 1e-12 {
+			t.Fatalf("PreparedDistance %v, Distance %v", d, want)
+		}
+		if d2 := n.PreparedSquared(prep[i], prep[j]); math.Abs(d2-d*d) > 1e-12 {
+			t.Fatalf("PreparedSquared %v, PreparedDistance² %v", d2, d*d)
+		}
+	}
+	// Beyond the normalizer's max both forms clamp to 1.
+	small := NewNormalizer(0.5)
+	if d := small.PreparedDistance(Prepare(louvre), Prepare(eiffel)); d != 1 {
+		t.Fatalf("PreparedDistance beyond max = %v, want 1", d)
+	}
+	if d := small.PreparedSquared(Prepare(louvre), Prepare(eiffel)); d != 1 {
+		t.Fatalf("PreparedSquared beyond max = %v, want 1", d)
+	}
+	zero := NewNormalizer(0)
+	if d := zero.PreparedDistance(Prepare(louvre), Prepare(eiffel)); d != 0 {
+		t.Fatalf("degenerate normalizer returned %v, want 0", d)
+	}
+	if got := PrepareAll(make([]Prepared, 0, 500), pts); len(got) != len(pts) || got[3] != Prepare(pts[3]) {
+		t.Fatal("PrepareAll did not align with its input")
+	}
+}

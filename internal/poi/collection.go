@@ -2,6 +2,7 @@ package poi
 
 import (
 	"fmt"
+	"sync"
 
 	"grouptravel/internal/geo"
 )
@@ -17,6 +18,13 @@ type Collection struct {
 	byCat  [NumCategories][]*POI
 	grid   *geo.GridIndex
 	norm   geo.Normalizer
+
+	// preparedByCat holds the distance-kernel form of every POI's
+	// coordinates, aligned with byCat: the collection is immutable, so all
+	// CI builds share one conversion. It is filled on first use, so a
+	// process that never builds a CI does not hold it.
+	prepareOnce   sync.Once
+	preparedByCat [NumCategories][]geo.Prepared
 }
 
 // NewCollection indexes the POIs under the schema. Every POI is validated;
@@ -65,6 +73,21 @@ func (c *Collection) ByID(id int) *POI { return c.byID[id] }
 // ByCategory returns all POIs of category cat (shared slice; do not
 // mutate).
 func (c *Collection) ByCategory(cat Category) []*POI { return c.byCat[cat] }
+
+// PreparedByCategory returns the prepared coordinates of
+// ByCategory(cat), index-aligned with it (shared slice; do not mutate).
+func (c *Collection) PreparedByCategory(cat Category) []geo.Prepared {
+	c.prepareOnce.Do(func() {
+		for i, list := range c.byCat {
+			prep := make([]geo.Prepared, len(list))
+			for j, p := range list {
+				prep[j] = geo.Prepare(p.Coord)
+			}
+			c.preparedByCat[i] = prep
+		}
+	})
+	return c.preparedByCat[cat]
+}
 
 // Normalizer returns the distance normalizer derived from the city's POI
 // cloud (the "largest observed distance value" of §3.2).

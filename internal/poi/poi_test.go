@@ -1,6 +1,7 @@
 package poi
 
 import (
+	"sync"
 	"testing"
 
 	"grouptravel/internal/geo"
@@ -247,6 +248,38 @@ func TestNormalizerCoversCollection(t *testing.T) {
 			d := n.Distance(all[i].Coord, all[j].Coord)
 			if d < 0 || d > 1 {
 				t.Fatalf("normalized distance %v outside [0,1]", d)
+			}
+		}
+	}
+}
+
+// TestPreparedByCategoryAligned checks the prepared coordinates line up
+// with ByCategory, including when several goroutines ask first at once.
+func TestPreparedByCategoryAligned(t *testing.T) {
+	c, _ := buildCollection(t)
+	var wg sync.WaitGroup
+	got := make([][NumCategories][]geo.Prepared, 4)
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for _, cat := range Categories {
+				got[g][cat] = c.PreparedByCategory(cat)
+			}
+		}(g)
+	}
+	wg.Wait()
+	for _, cat := range Categories {
+		list := c.ByCategory(cat)
+		for g := range got {
+			prep := got[g][cat]
+			if len(prep) != len(list) {
+				t.Fatalf("%s: %d prepared points for %d POIs", cat, len(prep), len(list))
+			}
+			for i, p := range list {
+				if prep[i] != geo.Prepare(p.Coord) {
+					t.Fatalf("%s[%d]: prepared point does not match POI %d", cat, i, p.ID)
+				}
 			}
 		}
 	}
