@@ -47,7 +47,7 @@ lint: vet
 # same file. `make benchcompare` gates the fresh file against the
 # previous generation's committed baseline: drift beyond 15% is printed
 # as a warning (smoke runs are noisy), growth beyond 2x fails.
-BENCH_GEN ?= 12
+BENCH_GEN ?= 13
 BENCH_BASE ?= BENCH_10.json
 
 # Micro benchmarks first (benchjson rewrites the file), then the macro

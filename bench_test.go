@@ -1107,6 +1107,11 @@ func BenchmarkHotReadCached(b *testing.B) {
 //     its own byte cache, exactly like BenchmarkRouterProxy/routed).
 //   - hit-http: the cached read through a real client socket, end-to-end
 //     comparable with the BenchmarkRouterProxy rows.
+//   - hit-after-unrelated-write: one proxied write that changes another
+//     entity (a new group, WAL-synced at the shard) followed by the
+//     cached read, which must still hit: the change log proves the POI
+//     list unchanged. Against hit, the gap is the write; with
+//     city-scoped invalidation the read would also pay a refill.
 func BenchmarkRouterEdgeCache(b *testing.B) {
 	benchSetup(b)
 	// Persistence on: mutations allocate WAL sequences, so city-scoped
@@ -1199,6 +1204,27 @@ func BenchmarkRouterEdgeCache(b *testing.B) {
 			resp.Body.Close()
 			if resp.StatusCode != http.StatusOK {
 				b.Fatalf("status %d", resp.StatusCode)
+			}
+		}
+	})
+	b.Run("hit-after-unrelated-write", func(b *testing.B) {
+		var body bytes.Buffer
+		if err := json.NewEncoder(&body).Encode(map[string]any{"members": ratings}); err != nil {
+			b.Fatal(err)
+		}
+		write := httptest.NewRequest(http.MethodPost, "/cities/"+key+"/groups", nil)
+		read := httptest.NewRequest(http.MethodGet, path, nil)
+		for i := 0; i < b.N; i++ {
+			write.Body = io.NopCloser(bytes.NewReader(body.Bytes()))
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, write)
+			if w.Code != http.StatusCreated {
+				b.Fatalf("write status %d", w.Code)
+			}
+			w = httptest.NewRecorder()
+			h.ServeHTTP(w, read)
+			if w.Code != http.StatusOK || w.Header().Get("X-GT-Edge") != "hit" {
+				b.Fatalf("read after an unrelated write: status %d, edge %q", w.Code, w.Header().Get("X-GT-Edge"))
 			}
 		}
 	})

@@ -7,31 +7,65 @@ package router
 // GET pays a full proxy hop to a shard, even when the shard itself
 // answers from its version-keyed byte cache. The edge cache removes
 // that hop for hot city-scoped GETs: a bounded LRU of rendered
-// responses keyed by (city, path, query), each entry stamped with the
-// applied WAL sequence the shard rendered it at (the X-GT-Applied-Seq
-// response header, a lower bound on the state the body reflects).
+// responses keyed by (city, path, query). The shard stamps each render
+// with three facts the cache keeps beside the bytes:
 //
-// The freshness contract — when may a cached entry be served?
+//   - X-GT-Applied-Seq: the city's applied WAL sequence A when the
+//     render started, a lower bound on the state the body reflects;
+//   - X-GT-Epoch: the replication term of the node that rendered it;
+//   - X-GT-Entity: the one entity the body depends on — "static" (city
+//     info, POIs), "group/{id}" or "package/{id}".
 //
-//	entry.seq >= max( requester's session floor,
-//	                  the city's commit floor,
-//	                  the health feed's max appliedSeq for the city )
+// Mutation acks carry the same entity beside their commit token, and
+// each WAL record is one mutation, so a city's sequence numbers are
+// dense and every one of them names exactly one changed entity.
+//
+// The freshness contract — when may a cached entry serve? A reader's
+// floor is
+//
+//	F = max( requester's session floor,
+//	         the health feed's max appliedSeq for the city,
+//	         the newest commit this router proxied for the city )
+//
+// and an entry of the current epoch, rendered at A for entity E, serves
+// when either
+//
+//  1. A >= F — the render is at least as new as anything the reader
+//     may demand; or
+//  2. the city's change log proves E unchanged over (A, F]: every seq
+//     in that range is in the log and none of them names E. E's state
+//     at A then equals its state at F.
 //
 //   - The session floor (commit token / X-GT-Min-Seq / gt-session
-//     cookie) preserves read-your-writes exactly: a hit at or past the
-//     floor provably includes every write the floor names, because the
-//     shard's stamp never runs ahead of the state it rendered.
-//   - The commit floor is bumped to the commit token of every mutation
-//     proxied through this router the moment it is acknowledged — the
-//     city's cached entries are invalidated *immediately*, not at the
-//     next poll; a reader arriving after a mutation's response can
-//     never hit bytes rendered before it.
+//     cookie) preserves read-your-writes exactly: the writer's own seq
+//     lies in (A, F] and names the entity it changed, so only a render
+//     at or past the write can serve that entity to the writer.
+//   - The change log is a bounded per-city, per-epoch ring built from
+//     the commit tokens of the mutations this router proxies, recorded
+//     before the ack relays: a reader arriving after a mutation's
+//     response can never hit bytes of the changed entity rendered
+//     before it, while every other entity keeps serving.
 //   - The health-feed bound caps staleness for writes this router never
-//     saw (another router's mutations, direct writes at the primary):
-//     once any node of the shard reports a newer applied sequence, all
-//     older entries stop serving. Staleness is therefore bounded by the
-//     same poll-interval window token-less reads already accept from a
-//     -shed-lag follower — the cache weakens nothing.
+//     saw (another router's, direct writes at the primary): they leave
+//     holes in the log, so no proof spans them and rule 1 alone applies
+//     — once any node reports a newer applied sequence, every older
+//     entry of the city stops serving. Staleness stays within the poll
+//     window token-less reads already accept from a -shed-lag follower.
+//
+// Where the log cannot prove rule 2, rule 1 applies unchanged; each
+// such lookup counts in gt_router_edgecache_fallbacks_total{reason}:
+// "gap" (a seq the router never saw: a bypassing write, or an ack still
+// in flight or out of order — a hole more than reorderWindow seqs behind
+// the newest commit is given up on and the log restarts past it),
+// "wrap" (the render is older than the ring's reach), "epoch" (counted
+// once per term change, not per lookup: a promotion's new history
+// reuses seqs, so the change purges the city's entries and restarts its
+// log, and renders from an older term are never stored), "pinned" (a
+// pin-to-primary token from a failed WAL append: its entity is purged
+// and the log restarts; the session stays pinned to the primary) and
+// "unstamped" (a render or commit without X-GT-Entity, from an older
+// shard). Each lookup is O(1): the log keeps, per entity, the newest
+// recorded seq that named it.
 //
 // Entries without a seq stamp are never cached: no sequence space means
 // no way to validate freshness, so persistence-less backends simply
@@ -46,6 +80,7 @@ package router
 
 import (
 	"container/list"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -55,7 +90,9 @@ import (
 )
 
 const (
-	// DefaultEdgeCacheMax bounds the edge cache's entry count.
+	// DefaultEdgeCacheMax bounds the edge cache's entry count. It also
+	// sets the length of each city's change log: a render older than that
+	// many commits is refilled rather than proven.
 	DefaultEdgeCacheMax = 4096
 	// maxEdgeBody keeps giant renders from pinning router memory; larger
 	// responses relay uncached.
@@ -65,6 +102,16 @@ const (
 	// strings cannot mint unbounded key space. Longer queries are routed
 	// but never cached or coalesced.
 	maxEdgeKeyQuery = 200
+	// minChangeLog floors a change log's length for tiny caches.
+	minChangeLog = 64
+	// reorderWindow is how far the newest recorded commit may run ahead
+	// of a missing seq before the log stops waiting for its ack: acks of
+	// concurrently proxied mutations can arrive out of order, but a hole
+	// this old is a write that bypassed this router.
+	reorderWindow = 32
+	// pinnedSeq is the shard's pin-to-primary commit token, handed out
+	// when a write's WAL append failed: no replica will ever report it.
+	pinnedSeq = math.MaxInt64
 )
 
 // HeaderEdge marks a response served from the router's edge cache
@@ -73,11 +120,116 @@ const HeaderEdge = "X-GT-Edge"
 
 // edgeEntry is one cached rendered response.
 type edgeEntry struct {
-	key   string
-	city  string
-	seq   int64 // applied sequence the shard stamped at render
-	ctype string
-	body  []byte
+	key    string
+	city   string
+	entity string // X-GT-Entity the shard stamped; "" when unstamped
+	seq    int64  // applied sequence the shard stamped at render
+	epoch  int64  // replication term of the rendering node
+	ctype  string
+	body   []byte
+}
+
+// fallback is why a lookup fell back from the change-log proof to the
+// plain A >= F rule.
+type fallback int
+
+const (
+	fallbackGap fallback = iota
+	fallbackWrap
+	fallbackEpoch
+	fallbackPinned
+	fallbackUnstamped
+	numFallbacks
+)
+
+var fallbackNames = [numFallbacks]string{"gap", "wrap", "epoch", "pinned", "unstamped"}
+
+// changeLog is one city's record, within one replication epoch, of which
+// entity each recent commit changed. Every seq in (lo, hi] is recorded;
+// seqs in (hi, max] may still have holes. lo < 0 means nothing has been
+// recorded since the log (re)started.
+type changeLog struct {
+	epoch  int64
+	lo, hi int64
+	max    int64            // newest commit seen this epoch: part of every reader's floor
+	why    fallback         // what last moved lo past recorded history
+	slots  []logSlot        // ring indexed by seq % len
+	last   map[string]int64 // entity -> newest recorded seq naming it
+}
+
+type logSlot struct {
+	seq    int64
+	entity string
+}
+
+// advance extends hi over the recorded seqs that follow it.
+func (l *changeLog) advance() {
+	n := int64(len(l.slots))
+	for l.hi < l.max && l.slots[(l.hi+1)%n].seq == l.hi+1 {
+		l.hi++
+	}
+}
+
+// restart forgets the recorded history: only renders at or past the
+// newest commit can be proven from here on.
+func (l *changeLog) restart(why fallback) {
+	l.lo, l.hi, l.why = l.max, l.max, why
+	if l.max == 0 {
+		l.lo, l.hi = -1, -1
+	}
+}
+
+// record notes that the commit at seq changed entity.
+func (l *changeLog) record(seq int64, entity string) {
+	n := int64(len(l.slots))
+	if seq > l.max {
+		l.max = seq
+	}
+	if l.lo < 0 {
+		l.lo, l.hi = seq-1, seq-1
+	}
+	if l.lo < l.max-n { // the ring holds only the newest n seqs
+		l.lo, l.why = l.max-n, fallbackWrap
+	}
+	if seq > l.lo {
+		slot := &l.slots[seq%n]
+		if slot.seq != seq {
+			if slot.seq > 0 && l.last[slot.entity] == slot.seq {
+				delete(l.last, slot.entity)
+			}
+			*slot = logSlot{seq: seq, entity: entity}
+			if l.last[entity] < seq {
+				l.last[entity] = seq
+			}
+		}
+	}
+	if l.hi < l.lo {
+		l.hi = l.lo
+	}
+	l.advance()
+	if l.max-l.hi > reorderWindow {
+		l.lo, l.hi, l.why = l.max-reorderWindow, l.max-reorderWindow, fallbackGap
+		l.advance()
+	}
+}
+
+// edgeCache is the bounded LRU plus the per-city change logs and the
+// singleflight fill table. One instance per router, shared by every
+// city; the LRU bound is the memory bound.
+type edgeCache struct {
+	mu    sync.Mutex
+	cap   int
+	m     map[string]*list.Element // key -> *edgeEntry element
+	lru   *list.List               // front = most recently served
+	logs  map[string]*changeLog    // city -> change log
+	fills map[string]*edgeFill
+
+	hits          *telemetry.Counter
+	misses        *telemetry.Counter
+	coalesced     *telemetry.Counter
+	invalidations *telemetry.Counter
+	proven        *telemetry.Counter
+	fallbacks     [numFallbacks]*telemetry.Counter
 }
 
 // edgeFill is one in-flight singleflight fill. done closes when the
@@ -88,23 +240,6 @@ type edgeFill struct {
 	entry *edgeEntry
 }
 
-// edgeCache is the bounded LRU plus the per-city commit floors and the
-// singleflight fill table. One instance per router, shared by every
-// city; the LRU bound is the memory bound.
-type edgeCache struct {
-	mu     sync.Mutex
-	cap    int
-	m      map[string]*list.Element // key -> *edgeEntry element
-	lru    *list.List               // front = most recently served
-	floors map[string]int64         // city -> min servable entry seq
-	fills  map[string]*edgeFill
-
-	hits          *telemetry.Counter
-	misses        *telemetry.Counter
-	coalesced     *telemetry.Counter
-	invalidations *telemetry.Counter
-}
-
 func newEdgeCache(cap int, ctr counters) *edgeCache {
 	if cap <= 0 {
 		cap = DefaultEdgeCacheMax
@@ -113,12 +248,14 @@ func newEdgeCache(cap int, ctr counters) *edgeCache {
 		cap:           cap,
 		m:             make(map[string]*list.Element),
 		lru:           list.New(),
-		floors:        make(map[string]int64),
+		logs:          make(map[string]*changeLog),
 		fills:         make(map[string]*edgeFill),
 		hits:          ctr.edgeHits,
 		misses:        ctr.edgeMisses,
 		coalesced:     ctr.edgeCoalesced,
 		invalidations: ctr.edgeInvalidations,
+		proven:        ctr.edgeProven,
+		fallbacks:     ctr.edgeFallbacks,
 	}
 }
 
@@ -172,45 +309,105 @@ func hasQueryParam(rawQuery, name string) bool {
 	return false
 }
 
-// floor returns the city's commit floor: the minimum applied sequence a
-// servable entry must have been rendered at.
-func (ec *edgeCache) floor(city string) int64 {
-	ec.mu.Lock()
-	defer ec.mu.Unlock()
-	return ec.floors[city]
+// logLocked returns the city's change log, moved to term first when the
+// caller has seen a newer one. A term change means a promotion: the new
+// primary's history reuses seqs the deposed one already handed out, so
+// nothing rendered or recorded under the old term can be trusted — the
+// city's entries purge and its log restarts empty. Caller holds ec.mu.
+func (ec *edgeCache) logLocked(city string, term int64) *changeLog {
+	l := ec.logs[city]
+	if l == nil {
+		l = &changeLog{lo: -1, hi: -1, slots: make([]logSlot, max(ec.cap, minChangeLog)), last: make(map[string]int64)}
+		ec.logs[city] = l
+	}
+	if term > l.epoch {
+		if purged := ec.purgeLocked(city, ""); purged || l.max > 0 {
+			ec.fallbacks[fallbackEpoch].Inc()
+		}
+		clear(l.slots)
+		*l = changeLog{epoch: term, lo: -1, hi: -1, slots: l.slots, last: make(map[string]int64)}
+	}
+	return l
 }
 
-// get returns the entry for key when it satisfies the caller's combined
-// floor, refreshing its LRU position. The caller passes the max of the
-// session floor and health-feed bound; the city's commit floor is
-// enforced here unconditionally, so no caller can forget it.
-func (ec *edgeCache) get(key string, floor int64) *edgeEntry {
+// fresh decides whether e may serve a reader whose own floor (session
+// and health feed) is floor; see the contract above. served is the seq
+// the response may claim in X-GT-Applied-Seq — the render's own stamp,
+// or the reader's floor when the change log proved the entity unchanged
+// up to it — and 0 when e may not serve. When the change log could not
+// decide, fb names why and isFB is set. The caller holds ec.mu.
+func (l *changeLog) fresh(e *edgeEntry, floor int64) (served int64, fb fallback, isFB bool) {
+	if e.epoch != l.epoch {
+		return 0, 0, false // a term change purged the city and counted once
+	}
+	f := max(floor, l.max)
+	switch {
+	case e.seq >= f:
+		return e.seq, 0, false
+	case f == pinnedSeq:
+		return 0, fallbackPinned, true
+	case e.entity == "":
+		return 0, fallbackUnstamped, true
+	case l.lo < 0 || f > l.hi:
+		return 0, fallbackGap, true
+	case e.seq < l.lo:
+		return 0, l.why, true
+	case l.last[e.entity] > e.seq:
+		return 0, 0, false
+	}
+	return f, 0, false
+}
+
+// get returns the entry for key when it may serve a reader with the
+// given floor (the max of its session floor and the health-feed bound),
+// refreshing its LRU position, and the seq the response may claim.
+// term is the shard's replication epoch as the health feed knows it.
+// The city's newest proxied commit joins the floor here
+// unconditionally, so no caller can forget it.
+func (ec *edgeCache) get(key, city string, floor, term int64) (*edgeEntry, int64) {
 	ec.mu.Lock()
 	defer ec.mu.Unlock()
 	el, ok := ec.m[key]
 	if !ok {
+		// No log is created here: a city name only gets one once a shard
+		// answered for it (put) or acked a write in it (note).
 		ec.misses.Inc()
-		return nil
+		return nil, 0
 	}
 	e := el.Value.(*edgeEntry)
-	if f := ec.floors[e.city]; f > floor {
-		floor = f
-	}
-	if e.seq < floor {
+	served, fb, isFB := ec.logLocked(city, term).fresh(e, floor)
+	if served == 0 {
+		if isFB {
+			ec.fallbacks[fb].Inc()
+		}
 		ec.misses.Inc()
-		return nil
+		return nil, 0
+	}
+	if served > e.seq {
+		ec.proven.Inc()
 	}
 	ec.lru.MoveToFront(el)
 	ec.hits.Inc()
-	return e
+	return e, served
+}
+
+// check re-validates a filled entry for a coalesced waiter, returning
+// the seq the response may claim (0: the waiter must not use it).
+func (ec *edgeCache) check(e *edgeEntry, floor int64) int64 {
+	ec.mu.Lock()
+	defer ec.mu.Unlock()
+	served, _, _ := ec.logLocked(e.city, e.epoch).fresh(e, floor)
+	return served
 }
 
 // put stores an entry, evicting from the LRU tail past cap. An entry
-// already below its city's commit floor is dead on arrival and skipped.
+// that could not serve even a token-less reader — rendered under an
+// older term, or before a commit to its entity (or one the log cannot
+// account for) — is dead on arrival and skipped.
 func (ec *edgeCache) put(e *edgeEntry) {
 	ec.mu.Lock()
 	defer ec.mu.Unlock()
-	if e.seq < ec.floors[e.city] {
+	if served, _, _ := ec.logLocked(e.city, e.epoch).fresh(e, 0); served == 0 {
 		return
 	}
 	if el, ok := ec.m[e.key]; ok {
@@ -230,37 +427,66 @@ func (ec *edgeCache) put(e *edgeEntry) {
 	}
 }
 
-// invalidate raises the city's commit floor to seq: every entry rendered
-// before the mutation that committed at seq stops serving immediately.
-// Entries are left in place — get's floor check makes them unservable —
-// and recycled by LRU pressure or overwritten by the next fill.
-func (ec *edgeCache) invalidate(city string, seq int64) {
+// note records a proxied mutation's commit token — the seq it committed
+// at, the entity it changed, and the term of the node that acked it —
+// in the city's change log, before the ack relays. Only that entity's
+// entries stop serving. A pinned token names no sequence any replica
+// will reach: the entity's entries purge and the log restarts. A token
+// without an entity may have changed anything: the log restarts past
+// it. An ack from a node still on an older term is a write in a history
+// the fleet has already left behind; it cannot make any current render
+// stale.
+func (ec *edgeCache) note(city string, term, seq int64, entity string) {
 	ec.mu.Lock()
 	defer ec.mu.Unlock()
-	if seq > ec.floors[city] {
-		ec.floors[city] = seq
-		ec.invalidations.Inc()
+	l := ec.logLocked(city, term)
+	if term < l.epoch {
+		return
+	}
+	ec.invalidations.Inc()
+	switch {
+	case seq == pinnedSeq:
+		ec.purgeLocked(city, entity)
+		l.restart(fallbackPinned)
+	case entity == "":
+		l.record(seq, "")
+		if seq > l.lo {
+			l.lo, l.why = seq, fallbackUnstamped
+			l.hi = max(l.hi, seq)
+			l.advance()
+		}
+	default:
+		l.record(seq, entity)
 	}
 }
 
 // purgeCity drops every entry of a city outright — the fallback for a
-// mutation that carried no commit token (no sequence space to floor on).
+// mutation that carried no commit token (no sequence space to reason
+// about).
 func (ec *edgeCache) purgeCity(city string) {
 	ec.mu.Lock()
 	defer ec.mu.Unlock()
+	if ec.purgeLocked(city, "") {
+		ec.invalidations.Inc()
+	}
+}
+
+// purgeLocked drops the city's entries for entity, or all of the city's
+// entries when entity is "", and reports whether any went. O(entries):
+// it runs only on failed appends, token-less acks and promotions.
+// Caller holds ec.mu.
+func (ec *edgeCache) purgeLocked(city, entity string) bool {
 	var next *list.Element
 	purged := false
 	for el := ec.lru.Front(); el != nil; el = next {
 		next = el.Next()
-		if e := el.Value.(*edgeEntry); e.city == city {
+		if e := el.Value.(*edgeEntry); e.city == city && (entity == "" || e.entity == entity) {
 			ec.lru.Remove(el)
 			delete(ec.m, e.key)
 			purged = true
 		}
 	}
-	if purged {
-		ec.invalidations.Inc()
-	}
+	return purged
 }
 
 // join returns the in-flight fill for key, or registers a new one with
@@ -294,16 +520,16 @@ func (ec *edgeCache) len() int {
 	return ec.lru.Len()
 }
 
-// writeEdge serves one cached entry: the stored bytes, the applied-seq
-// stamp the shard rendered them at, and the hit marker. No X-GT-Backend
-// — no backend served this response.
-func writeEdge(w http.ResponseWriter, e *edgeEntry, shard string) {
+// writeEdge serves one cached entry: the stored bytes, the applied seq
+// the cache validated them at, and the hit marker. No X-GT-Backend — no
+// backend served this response.
+func writeEdge(w http.ResponseWriter, e *edgeEntry, seq int64, shard string) {
 	h := w.Header()
 	if e.ctype != "" {
 		h.Set("Content-Type", e.ctype)
 	}
 	h.Set("Content-Length", strconv.Itoa(len(e.body)))
-	h.Set(HeaderAppliedSeq, strconv.FormatInt(e.seq, 10))
+	h.Set(HeaderAppliedSeq, strconv.FormatInt(seq, 10))
 	h.Set(HeaderShard, shard)
 	h.Set(HeaderEdge, "hit")
 	w.WriteHeader(http.StatusOK)

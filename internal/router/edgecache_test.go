@@ -75,41 +75,71 @@ func TestSessionCookieCodec(t *testing.T) {
 func TestEdgeCacheLRUAndFloors(t *testing.T) {
 	rt, _ := newRouter(t, Options{Topology: singleShard("http://127.0.0.1:9"), EdgeCache: true, EdgeCacheMax: 2})
 	ec := rt.edge
-	put := func(key string, seq int64) {
-		ec.put(&edgeEntry{key: key, city: "v", seq: seq, body: []byte(key)})
+	put := func(key, entity string, seq int64) {
+		ec.put(&edgeEntry{key: key, city: "v", entity: entity, seq: seq, body: []byte(key)})
 	}
-	put("a", 1)
-	put("b", 1)
-	put("c", 1) // evicts a (LRU tail)
+	get := func(key string, floor int64) *edgeEntry {
+		e, _ := ec.get(key, "v", floor, 0)
+		return e
+	}
+	put("a", "static", 1)
+	put("b", "package/1", 1)
+	put("c", "package/2", 1) // evicts a (LRU tail)
 	if ec.len() != 2 {
 		t.Fatalf("len = %d, want cap 2", ec.len())
 	}
-	if ec.get("a", 0) != nil {
+	if get("a", 0) != nil {
 		t.Fatal("evicted entry still served")
 	}
-	if e := ec.get("b", 0); e == nil || string(e.body) != "b" {
+	if e := get("b", 0); e == nil || string(e.body) != "b" {
 		t.Fatalf("get(b) = %+v", e)
 	}
-	if ec.get("b", 2) != nil {
-		t.Fatal("entry below the caller's floor served")
+	// No commit recorded yet: nothing proves seq 2, so the plain rule
+	// applies and the entry is below the caller's floor.
+	if get("b", 2) != nil {
+		t.Fatal("entry below the caller's floor served without a proof")
 	}
-	ec.invalidate("v", 5)
-	if ec.get("b", 0) != nil {
-		t.Fatal("entry served after its city's commit floor rose past it")
+	if n := rt.ctr.edgeFallbacks[fallbackGap].Value(); n != 1 {
+		t.Fatalf("gap fallbacks = %d, want 1", n)
 	}
-	put("d", 4) // dead on arrival: below the commit floor
-	if ec.get("d", 0) != nil {
-		t.Fatal("below-floor put was stored")
+
+	// A commit to c's entity: c stops serving, b is proven unchanged —
+	// for token-less readers and for a session floor at the commit alike.
+	ec.note("v", 0, 2, "package/2")
+	if get("c", 0) != nil {
+		t.Fatal("entry served after a commit to its own entity")
 	}
-	put("d", 5)
-	if ec.get("d", 5) == nil {
+	if e := get("b", 0); e == nil {
+		t.Fatal("unrelated commit killed an entry")
+	}
+	if e, seq := ec.get("b", "v", 2, 0); e == nil || seq != 2 {
+		t.Fatalf("session floor at an unrelated commit not proven: %+v served at %d", e, seq)
+	}
+	put("c", "package/2", 1) // dead on arrival: rendered before its entity's commit
+	if get("c", 0) != nil {
+		t.Fatal("pre-commit render of the changed entity was stored")
+	}
+	put("c", "package/2", 2)
+	if get("c", 2) == nil {
 		t.Fatal("at-floor entry not served")
 	}
 	// A racing slower fill must not replace a fresher render.
-	put("d", 7)
-	put("d", 6)
-	if e := ec.get("d", 0); e == nil || e.seq != 7 {
+	put("c", "package/2", 7)
+	put("c", "package/2", 6)
+	if e := get("c", 0); e == nil || e.seq != 7 {
 		t.Fatalf("older racing fill replaced a fresher entry: %+v", e)
+	}
+	// An entry without an entity stamp only ever serves by the plain rule.
+	put("u", "", 2)
+	if get("u", 0) == nil {
+		t.Fatal("unstamped entry at the floor not served")
+	}
+	ec.note("v", 0, 3, "package/9")
+	if get("u", 0) != nil {
+		t.Fatal("unstamped entry served below the floor")
+	}
+	if rt.ctr.edgeFallbacks[fallbackUnstamped].Value() == 0 {
+		t.Fatal("unstamped fallback not counted")
 	}
 	ec.purgeCity("v")
 	if ec.len() != 0 {
@@ -117,13 +147,150 @@ func TestEdgeCacheLRUAndFloors(t *testing.T) {
 	}
 }
 
+// TestChangeLogProofs pins the change log's bookkeeping: out-of-order
+// acks, holes given up on, ring wrap, pinned and unstamped tokens, and
+// epoch changes — each leaves the log claiming only what it recorded.
+func TestChangeLogProofs(t *testing.T) {
+	rt, _ := newRouter(t, Options{Topology: singleShard("http://127.0.0.1:9"), EdgeCache: true, EdgeCacheMax: 100})
+	ec := rt.edge
+	entry := func(entity string, seq, epoch int64) *edgeEntry {
+		return &edgeEntry{key: entity, city: "v", entity: entity, seq: seq, epoch: epoch}
+	}
+	fresh := func(e *edgeEntry, floor int64) (bool, fallback, bool) {
+		ec.mu.Lock()
+		defer ec.mu.Unlock()
+		served, fb, isFB := ec.logLocked("v", 0).fresh(e, floor)
+		return served > 0, fb, isFB
+	}
+	mustFresh := func(e *edgeEntry, floor int64, want bool) {
+		t.Helper()
+		if ok, fb, isFB := fresh(e, floor); ok != want {
+			t.Fatalf("fresh(%s@%d, floor %d) = %v (fallback %v %s), want %v", e.entity, e.seq, floor, ok, isFB, fallbackNames[fb], want)
+		}
+	}
+	for s := int64(1); s <= 5; s++ {
+		ec.note("v", 0, s, fmt.Sprintf("package/%d", s))
+	}
+	mustFresh(entry("package/1", 1, 0), 5, true)
+	mustFresh(entry("package/1", 0, 0), 5, false) // before the log's first record
+	mustFresh(entry("package/3", 2, 0), 5, false) // changed at 3
+
+	// Out of order: 7 before 6. Until 6 arrives nothing proves past 5.
+	ec.note("v", 0, 7, "package/7")
+	if _, fb, isFB := fresh(entry("static", 5, 0), 0); !isFB || fb != fallbackGap {
+		t.Fatalf("hole at 6 not reported as a gap: %v %s", isFB, fallbackNames[fb])
+	}
+	ec.note("v", 0, 6, "package/6")
+	mustFresh(entry("static", 5, 0), 0, true)
+
+	// A hole nobody fills (a write that bypassed the router) is given up
+	// on once the newest commit runs reorderWindow past it.
+	for s := int64(9); s <= 8+reorderWindow+1; s++ {
+		ec.note("v", 0, s, "package/1")
+	}
+	mustFresh(entry("static", 9, 0), 0, true)
+	if _, fb, _ := fresh(entry("static", 7, 0), 0); fb != fallbackGap {
+		t.Fatalf("render before the abandoned hole: fallback %s, want gap", fallbackNames[fb])
+	}
+
+	// Wrap: 100 more commits push seq 9 out of the ring.
+	for i := 0; i < 100; i++ {
+		ec.note("v", 0, ec.logs["v"].max+1, "package/1")
+	}
+	if _, fb, _ := fresh(entry("static", 9, 0), 0); fb != fallbackWrap {
+		t.Fatalf("render older than the ring: fallback %s, want wrap", fallbackNames[fb])
+	}
+
+	// A pinned token restarts the log; renders before it fall back.
+	head := ec.logs["v"].max
+	ec.note("v", 0, pinnedSeq, "package/2")
+	if _, fb, _ := fresh(entry("static", head-1, 0), 0); fb != fallbackPinned {
+		t.Fatalf("render before a pinned token: fallback %s, want pinned", fallbackNames[fb])
+	}
+	if ec.logs["v"].max != head {
+		t.Fatalf("pinned token moved the commit floor to %d", ec.logs["v"].max)
+	}
+	mustFresh(entry("static", head, 0), 0, true)
+	if _, fb, _ := fresh(entry("static", head, 0), pinnedSeq); fb != fallbackPinned {
+		t.Fatalf("pinned session floor: fallback %s, want pinned", fallbackNames[fb])
+	}
+	ec.note("v", 0, head+1, "package/1")
+	mustFresh(entry("static", head, 0), 0, true)
+
+	// An unstamped commit may have changed anything.
+	ec.note("v", 0, head+2, "")
+	if _, fb, _ := fresh(entry("static", head+1, 0), 0); fb != fallbackUnstamped {
+		t.Fatalf("render before an unstamped commit: fallback %s, want unstamped", fallbackNames[fb])
+	}
+
+	// A new term purges and restarts; old-term renders never serve.
+	ec.put(entry("static", head+2, 0))
+	if ec.len() != 1 {
+		t.Fatal("entry not stored")
+	}
+	ec.note("v", 1, 3, "package/1")
+	if ec.len() != 0 {
+		t.Fatal("term change left the city's entries in place")
+	}
+	if l := ec.logs["v"]; l.epoch != 1 || l.max != 3 {
+		t.Fatalf("log after the term change: epoch %d max %d, want 1 and 3", l.epoch, l.max)
+	}
+	ec.put(entry("static", head+2, 0))
+	if ec.len() != 0 {
+		t.Fatal("old-term render stored after the term change")
+	}
+	if n := rt.ctr.edgeFallbacks[fallbackEpoch].Value(); n != 1 {
+		t.Fatalf("epoch fallbacks = %d, want 1 (one term change)", n)
+	}
+}
+
 // --- integration: hits, invalidation, freshness over real backends ---
+
+// pkgView is the slice of a package body the edge tests read: its id,
+// commit token and the POI ids of each day.
+type pkgView struct {
+	ID   int   `json:"id"`
+	Seq  int64 `json:"seq"`
+	Days []struct {
+		Items []struct {
+			ID int `json:"id"`
+		} `json:"items"`
+	} `json:"days"`
+}
+
+// first is the POI id of the package's first item of its first day.
+func (p pkgView) first() int { return p.Days[0].Items[0].ID }
+
+// createPackage builds a k-day package for group through base (a router
+// or shard URL ending in the city path).
+func createPackage(t testing.TB, base string, group, k int, hdr map[string]string) pkgView {
+	t.Helper()
+	var p pkgView
+	doJSON(t, "POST", base+"/packages", map[string]any{"group": group, "consensus": "pairwise", "k": k}, hdr, http.StatusCreated, &p)
+	return p
+}
+
+// replaceFirst customizes a package: member 0 replaces the first item
+// of its first day. It returns the op's commit seq.
+func replaceFirst(t testing.TB, base string, p pkgView, hdr map[string]string) int64 {
+	t.Helper()
+	var res struct {
+		Applied bool  `json:"applied"`
+		Seq     int64 `json:"seq"`
+	}
+	doJSON(t, "POST", fmt.Sprintf("%s/packages/%d/ops", base, p.ID),
+		map[string]any{"member": 0, "op": "replace", "ci": 0, "poi": p.first()}, hdr, http.StatusOK, &res)
+	if !res.Applied {
+		t.Fatalf("replace on package %d not applied", p.ID)
+	}
+	return res.Seq
+}
 
 // TestEdgeCacheHitInvalidateRefill walks the cache through its whole
 // deterministic life cycle against a real primary+follower shard: miss →
-// fill → hit, commit-floor invalidation by a proxied mutation, refill at
-// the new sequence from the primary, and hit again once the entry proves
-// the floor.
+// fill → hit, invalidation by a proxied op on the cached package, refill
+// at the new sequence from the primary, hit again once the entry proves
+// the floor — and an unrelated write that leaves the hit in place.
 func TestEdgeCacheHitInvalidateRefill(t *testing.T) {
 	_, pts := newPrimary(t)
 	fsrv, fts := newFollower(t, pts.URL)
@@ -134,12 +301,14 @@ func TestEdgeCacheHitInvalidateRefill(t *testing.T) {
 	rt.Poll()
 
 	sid := map[string]string{HeaderSession: "edgar"}
+	base := rts.URL + "/cities/" + key
 	var g createdGroup
-	doJSON(t, "POST", rts.URL+"/cities/"+key+"/groups", groupBody(city), sid, http.StatusCreated, &g)
+	doJSON(t, "POST", base+"/groups", groupBody(city), sid, http.StatusCreated, &g)
+	p := createPackage(t, base, g.ID, 2, sid)
 	syncAll(t, fsrv)
 	rt.Poll()
 
-	url := fmt.Sprintf("%s/cities/%s/groups/%d", rts.URL, key, g.ID)
+	url := fmt.Sprintf("%s/packages/%d", base, p.ID)
 
 	// Miss + fill (served by the freshest follower), then a zero-hop hit.
 	hdr := doJSON(t, "GET", url, nil, sid, http.StatusOK, nil)
@@ -150,26 +319,27 @@ func TestEdgeCacheHitInvalidateRefill(t *testing.T) {
 	if hdr.Get(HeaderEdge) != "hit" {
 		t.Fatalf("second read not an edge hit: %v", hdr)
 	}
-	if hdr.Get(HeaderAppliedSeq) != "1" || hdr.Get(HeaderBackend) != "" {
+	if hdr.Get(HeaderAppliedSeq) != "2" || hdr.Get(HeaderBackend) != "" {
 		t.Fatalf("hit headers wrong: seq=%q backend=%q", hdr.Get(HeaderAppliedSeq), hdr.Get(HeaderBackend))
 	}
 	if n := rt.ctr.edgeHits.Value(); n != 1 {
 		t.Fatalf("edgeHits = %d, want 1", n)
 	}
 
-	// A proxied mutation invalidates the city immediately — before any
-	// health poll or follower sync — so the next read refills from the
-	// primary, the only node that can prove the new floor.
-	doJSON(t, "POST", rts.URL+"/cities/"+key+"/groups", groupBody(city), sid, http.StatusCreated, nil)
-	hdr = doJSON(t, "GET", url, nil, sid, http.StatusOK, nil)
+	// A proxied op on the cached package invalidates it immediately —
+	// before any health poll or follower sync — so the next read refills
+	// from the primary, the only node that can prove the new floor.
+	replaceFirst(t, base, p, sid)
+	var got pkgView
+	hdr = doJSON(t, "GET", url, nil, sid, http.StatusOK, &got)
 	if hdr.Get(HeaderEdge) == "hit" {
-		t.Fatal("stale entry served after the mutation raised the commit floor")
+		t.Fatal("stale entry served after an op on its package")
 	}
 	if hdr.Get(HeaderBackend) != pts.URL {
 		t.Fatalf("post-write refill served by %q, want primary %q", hdr.Get(HeaderBackend), pts.URL)
 	}
-	if hdr.Get(HeaderAppliedSeq) != "2" {
-		t.Fatalf("refill stamped %q, want \"2\"", hdr.Get(HeaderAppliedSeq))
+	if hdr.Get(HeaderAppliedSeq) != "3" || got.first() == p.first() {
+		t.Fatalf("refill stamped %q with first item %d, want \"3\" and the op applied", hdr.Get(HeaderAppliedSeq), got.first())
 	}
 	if n := rt.ctr.edgeInvalidations.Value(); n == 0 {
 		t.Fatal("edgeInvalidations never moved")
@@ -177,18 +347,33 @@ func TestEdgeCacheHitInvalidateRefill(t *testing.T) {
 
 	// The refilled entry proves the floor: hit again, at the new seq.
 	hdr = doJSON(t, "GET", url, nil, sid, http.StatusOK, nil)
-	if hdr.Get(HeaderEdge) != "hit" || hdr.Get(HeaderAppliedSeq) != "2" {
+	if hdr.Get(HeaderEdge) != "hit" || hdr.Get(HeaderAppliedSeq) != "3" {
 		t.Fatalf("refilled entry not hit: edge=%q seq=%q", hdr.Get(HeaderEdge), hdr.Get(HeaderAppliedSeq))
+	}
+
+	// The converse: an unrelated write (a new group at seq 4) raises the
+	// session's floor past the entry, and the change log proves the
+	// package unchanged — still a hit, for the writer and token-less
+	// readers, stamped with the seq it was proven current at.
+	doJSON(t, "POST", base+"/groups", groupBody(city), sid, http.StatusCreated, nil)
+	for _, h := range []map[string]string{sid, nil} {
+		hdr = doJSON(t, "GET", url, nil, h, http.StatusOK, nil)
+		if hdr.Get(HeaderEdge) != "hit" || hdr.Get(HeaderAppliedSeq) != "4" {
+			t.Fatalf("unrelated write killed the entry (session %v): edge=%q seq=%q", h != nil, hdr.Get(HeaderEdge), hdr.Get(HeaderAppliedSeq))
+		}
+	}
+	if n := rt.ctr.edgeProven.Value(); n != 2 {
+		t.Fatalf("edgeProven = %d, want 2", n)
 	}
 }
 
 // TestEdgeCacheNeverServesPreWrite is the freshness-contract proof the
-// tentpole hangs on: with a follower frozen mid-lag and the cache warm,
-// a mutation's ack must make every pre-write entry unservable — for the
-// writer's own session AND for token-less readers — before the writer
-// can act on the ack. The token-less reader then gets the follower's
-// honest 404 (the eventual-consistency contract), never the cache's
-// confident stale 200.
+// cache hangs on: with a follower frozen mid-lag and the cache warm, an
+// op's ack must make every pre-write entry of the changed package
+// unservable — for the writer's own session AND for token-less readers
+// — before the writer can act on the ack. The token-less reader then
+// gets the follower's honest lagging state, never the cache's confident
+// stale 200; entries of entities the op did not touch keep serving.
 func TestEdgeCacheNeverServesPreWrite(t *testing.T) {
 	_, pts := newPrimary(t)
 	fsrv, fts := newFollower(t, pts.URL)
@@ -198,58 +383,75 @@ func TestEdgeCacheNeverServesPreWrite(t *testing.T) {
 	rt, rts := newRouter(t, Options{Topology: singleShard(fts.URL, pts.URL), ShedLag: -1, EdgeCache: true})
 	rt.Poll()
 
-	// Warm the cache at seq 1 with everyone in sync.
+	// Warm the cache at seq 2 with everyone in sync: a package and its group.
 	sid := map[string]string{HeaderSession: "wanda"}
+	base := rts.URL + "/cities/" + key
 	var g1 createdGroup
-	doJSON(t, "POST", rts.URL+"/cities/"+key+"/groups", groupBody(city), sid, http.StatusCreated, &g1)
+	doJSON(t, "POST", base+"/groups", groupBody(city), sid, http.StatusCreated, &g1)
+	p := createPackage(t, base, g1.ID, 2, sid)
 	syncAll(t, fsrv)
 	rt.Poll()
-	g1url := fmt.Sprintf("%s/cities/%s/groups/%d", rts.URL, key, g1.ID)
-	doJSON(t, "GET", g1url, nil, nil, http.StatusOK, nil)
-	if hdr := doJSON(t, "GET", g1url, nil, nil, http.StatusOK, nil); hdr.Get(HeaderEdge) != "hit" {
-		t.Fatal("cache did not warm")
+	purl := fmt.Sprintf("%s/packages/%d", base, p.ID)
+	g1url := fmt.Sprintf("%s/groups/%d", base, g1.ID)
+	for _, u := range []string{purl, g1url} {
+		doJSON(t, "GET", u, nil, nil, http.StatusOK, nil)
+		if hdr := doJSON(t, "GET", u, nil, nil, http.StatusOK, nil); hdr.Get(HeaderEdge) != "hit" {
+			t.Fatalf("cache did not warm for %s", u)
+		}
 	}
 
-	// The write: a second group commits at seq 2. The follower does NOT
-	// sync and the router does NOT poll — the lag window is wide open and
-	// only the commit token can save correctness.
-	var g2 createdGroup
-	doJSON(t, "POST", rts.URL+"/cities/"+key+"/groups", groupBody(city), sid, http.StatusCreated, &g2)
+	// The write: an op on the cached package commits at seq 3. The
+	// follower does NOT sync and the router does NOT poll — the lag
+	// window is wide open and only the commit token can save correctness.
+	replaceFirst(t, base, p, sid)
 
-	// The writer's read-back: session floor 2 beats the warm seq-1 entry;
+	// A token-less reader of the package: the op's ack (no poll needed)
+	// kills the seq-2 entry, and the refill from the lagging follower is
+	// stamped seq 2 — rendered before the op — so it is served but NOT
+	// re-cached. No pre-write bytes from the cache, ever.
+	for i := 0; i < 2; i++ {
+		hdr := doJSON(t, "GET", purl, nil, nil, http.StatusOK, nil)
+		if hdr.Get(HeaderEdge) == "hit" {
+			t.Fatal("token-less read served a pre-write cache entry after the ack")
+		}
+		if hdr.Get(HeaderBackend) != fts.URL || hdr.Get(HeaderAppliedSeq) != "2" {
+			t.Fatalf("token-less read: backend=%q seq=%q, want the lagging follower at 2", hdr.Get(HeaderBackend), hdr.Get(HeaderAppliedSeq))
+		}
+	}
+	// The group the op did not touch keeps serving from the cache.
+	if hdr := doJSON(t, "GET", g1url, nil, nil, http.StatusOK, nil); hdr.Get(HeaderEdge) != "hit" {
+		t.Fatal("an op on the package killed its group's entry")
+	}
+
+	// The writer's read-back: session floor 3 beats the warm seq-2 entry;
 	// the lagging follower can't prove the floor either, so the primary
-	// serves — post-write state, not a 404.
-	hdr := doJSON(t, "GET", fmt.Sprintf("%s/cities/%s/groups/%d", rts.URL, key, g2.ID), nil, sid, http.StatusOK, nil)
+	// serves — post-write state.
+	var got pkgView
+	hdr := doJSON(t, "GET", purl, nil, sid, http.StatusOK, &got)
 	if hdr.Get(HeaderEdge) == "hit" {
 		t.Fatal("writer's read-back served from a pre-write cache entry")
 	}
-	if hdr.Get(HeaderBackend) != pts.URL {
-		t.Fatalf("read-back served by %q, want primary", hdr.Get(HeaderBackend))
+	if hdr.Get(HeaderBackend) != pts.URL || got.first() == p.first() {
+		t.Fatalf("read-back served by %q with first item %d, want primary and the op applied", hdr.Get(HeaderBackend), got.first())
+	}
+	// The read-back cached post-write bytes at seq 3 — so a token-less
+	// reader now gets a hit *fresher* than the lagging follower could
+	// serve. The cache only ever errs forward.
+	hdr = doJSON(t, "GET", purl, nil, nil, http.StatusOK, nil)
+	if hdr.Get(HeaderEdge) != "hit" || hdr.Get(HeaderAppliedSeq) != "3" {
+		t.Fatalf("token-less read after the read-back: edge=%q seq=%q, want fresh hit", hdr.Get(HeaderEdge), hdr.Get(HeaderAppliedSeq))
 	}
 
-	// A token-less reader of the warm key: the commit floor (raised by
-	// the ack, no poll needed) kills the seq-1 entry, and the refill from
-	// the lagging follower is stamped seq 1 — below the floor — so it is
-	// served but NOT re-cached as servable. No pre-write bytes from the
-	// cache, ever.
-	hdr = doJSON(t, "GET", g1url, nil, nil, http.StatusOK, nil)
-	if hdr.Get(HeaderEdge) == "hit" {
-		t.Fatal("token-less read served a pre-write cache entry after the ack")
+	// A new group at seq 4: nothing cached depends on it, so the package
+	// keeps its hit, and an uncached key scoped to the new entity has
+	// nothing to hit: the lagging follower answers its honest 404 — never
+	// a stale 200 and never the cache inventing state.
+	var g2 createdGroup
+	doJSON(t, "POST", base+"/groups", groupBody(city), sid, http.StatusCreated, &g2)
+	if hdr := doJSON(t, "GET", purl, nil, nil, http.StatusOK, nil); hdr.Get(HeaderEdge) != "hit" {
+		t.Fatal("an unrelated group creation killed the package entry")
 	}
-	// The read-back above cached post-write bytes at seq 2 — so a
-	// token-less reader of the NEW entity gets a hit *fresher* than the
-	// lagging follower could serve. The cache only ever errs forward.
-	hdr, err := tryDoJSON("GET", fmt.Sprintf("%s/cities/%s/groups/%d", rts.URL, key, g2.ID), nil, nil, http.StatusOK, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hdr.Get(HeaderEdge) != "hit" || hdr.Get(HeaderAppliedSeq) != "2" {
-		t.Fatalf("token-less read of the fresh entity: edge=%q seq=%q, want fresh hit", hdr.Get(HeaderEdge), hdr.Get(HeaderAppliedSeq))
-	}
-	// An uncached key scoped to the new entity has nothing to hit: the
-	// lagging follower answers its honest 404 — never a stale 200 and
-	// never the cache inventing state.
-	hdr, err = tryDoJSON("GET", fmt.Sprintf("%s/cities/%s/groups/%d?fresh=1", rts.URL, key, g2.ID), nil, nil, http.StatusNotFound, nil)
+	hdr, err := tryDoJSON("GET", fmt.Sprintf("%s/groups/%d?fresh=1", base, g2.ID), nil, nil, http.StatusNotFound, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

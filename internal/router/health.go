@@ -270,7 +270,7 @@ func (hf *healthFeed) getJSON(url string, out any, term int64, owner string) (in
 		return 0, "", err
 	}
 	defer resp.Body.Close()
-	respTerm, _ := strconv.ParseInt(resp.Header.Get(replicate.HeaderEpoch), 10, 64)
+	respTerm := headerEpoch(resp.Header)
 	respOwner := resp.Header.Get(replicate.HeaderEpochPrimary)
 	if resp.StatusCode != http.StatusOK {
 		// Error bodies read into a stack scratch array: a down node is

@@ -62,6 +62,7 @@ const (
 	HeaderShard      = "X-GT-Shard"
 	HeaderBackend    = "X-GT-Backend"
 	HeaderAppliedSeq = "X-GT-Applied-Seq"
+	HeaderEntity     = "X-GT-Entity"
 )
 
 // SessionCookie is the client-carried slice of the read-your-writes
@@ -151,6 +152,8 @@ type counters struct {
 	edgeMisses         *telemetry.Counter
 	edgeCoalesced      *telemetry.Counter
 	edgeInvalidations  *telemetry.Counter
+	edgeProven         *telemetry.Counter
+	edgeFallbacks      [numFallbacks]*telemetry.Counter
 }
 
 // routeTable is one immutable routing generation: the validated
@@ -464,21 +467,17 @@ func (rt *Router) healthMaxApplied(sh *Shard, city string) int64 {
 // edgeRead serves one cacheable routed GET through the edge cache: a
 // validated hit costs zero proxy hops; a miss joins the key's
 // singleflight fill — one upstream hop no matter how many requests
-// collide on the key. The combined floor is computed once per request:
-// session floor (read-your-writes), the city's commit floor (immediate
-// invalidation by proxied mutations), and the health feed's max applied
-// sequence (bounded staleness for writes this router never saw).
+// collide on the key. The reader's floor is computed once per request:
+// session floor (read-your-writes) and the health feed's max applied
+// sequence (bounded staleness for writes this router never saw); the
+// cache adds the newest commit it recorded for the city and checks the
+// entry against the shard's current epoch.
 func (rt *Router) edgeRead(sh *Shard, city, rest string, w http.ResponseWriter, r *http.Request, minSeq int64) {
 	key := edgeKey(city, r.URL.Path, r.URL.RawQuery)
-	floor := minSeq
-	if f := rt.edge.floor(city); f > floor {
-		floor = f
-	}
-	if h := rt.healthMaxApplied(sh, city); h > floor {
-		floor = h
-	}
-	if e := rt.edge.get(key, floor); e != nil {
-		writeEdge(w, e, sh.Name)
+	floor := max(minSeq, rt.healthMaxApplied(sh, city))
+	term, _ := rt.shardEpoch(sh)
+	if e, seq := rt.edge.get(key, city, floor, term); e != nil {
+		writeEdge(w, e, seq, sh.Name)
 		return
 	}
 	fill, leader := rt.edge.join(key)
@@ -486,9 +485,11 @@ func (rt *Router) edgeRead(sh *Shard, city, rest string, w http.ResponseWriter, 
 		rt.ctr.edgeCoalesced.Inc()
 		select {
 		case <-fill.done:
-			if e := fill.entry; e != nil && e.seq >= floor {
-				writeEdge(w, e, sh.Name)
-				return
+			if e := fill.entry; e != nil {
+				if seq := rt.edge.check(e, floor); seq > 0 {
+					writeEdge(w, e, seq, sh.Name)
+					return
+				}
 			}
 		case <-r.Context().Done():
 			writeErr(w, http.StatusServiceUnavailable, "canceled while awaiting a coalesced fill for city %q", city)
@@ -520,8 +521,10 @@ func (rt *Router) edgeRead(sh *Shard, city, rest string, w http.ResponseWriter, 
 // edge-cache entry when it is cacheable: status 200, stamped with a
 // positive X-GT-Applied-Seq (the shard's proof of what state the bytes
 // reflect — unstamped responses have no sequence space and are never
-// cached), and bounded in size. Oversized bodies stream through after
-// the buffered prefix. Returns the stored entry, nil when uncacheable.
+// cached), and bounded in size. The entry keeps the shard's X-GT-Entity
+// and X-GT-Epoch stamps for validation. Oversized bodies stream through
+// after the buffered prefix. Returns the stored entry, nil when
+// uncacheable.
 func (rt *Router) captureAndRelay(w http.ResponseWriter, resp *http.Response, sh *Shard, city, key, node string) *edgeEntry {
 	defer resp.Body.Close()
 	body, err := io.ReadAll(io.LimitReader(resp.Body, maxEdgeBody+1))
@@ -553,9 +556,19 @@ func (rt *Router) captureAndRelay(w http.ResponseWriter, resp *http.Response, sh
 	if err != nil || seq <= 0 {
 		return nil
 	}
-	e := &edgeEntry{key: key, city: city, seq: seq, ctype: resp.Header.Get("Content-Type"), body: body}
+	e := &edgeEntry{
+		key: key, city: city, entity: resp.Header.Get(HeaderEntity), seq: seq,
+		epoch: headerEpoch(resp.Header), ctype: resp.Header.Get("Content-Type"), body: body,
+	}
 	rt.edge.put(e)
 	return e
+}
+
+// headerEpoch is the replication term a backend stamped on a response
+// (0 before any promotion, or when the header is absent).
+func headerEpoch(h http.Header) int64 {
+	term, _ := strconv.ParseInt(h.Get(replicate.HeaderEpoch), 10, 64)
+	return term
 }
 
 // readFloor resolves the minimum acceptable sequence for this read: the
@@ -836,12 +849,13 @@ func dialFailure(err error) bool {
 
 // noteMutation records a successful mutation's commit token three ways,
 // all strictly before the ack relays to the client: against the
-// request's session (pinning the session's later reads), against the
-// edge cache (the city's commit floor rises, so entries rendered
-// pre-write stop serving before the writer can act on the ack), and as a
-// gt-session cookie echo (header-less read-your-writes for clients that
-// just replay their cookie jar). A commit without a parseable token has
-// no sequence space to floor on — the city's edge entries purge outright.
+// request's session (pinning the session's later reads), in the edge
+// cache's change log (the changed entity's entries stop serving before
+// the writer can act on the ack; see edgecache.go), and as a gt-session
+// cookie echo (header-less read-your-writes for clients that just
+// replay their cookie jar). A commit without a parseable token has no
+// sequence space to reason about — the city's edge entries purge
+// outright.
 func (rt *Router) noteMutation(city string, r *http.Request, w http.ResponseWriter, resp *http.Response) {
 	if resp.StatusCode < 200 || resp.StatusCode >= 300 {
 		return
@@ -858,7 +872,7 @@ func (rt *Router) noteMutation(city string, r *http.Request, w http.ResponseWrit
 		tokenCity = city
 	}
 	if rt.edge != nil {
-		rt.edge.invalidate(tokenCity, seq)
+		rt.edge.note(tokenCity, headerEpoch(resp.Header), seq, resp.Header.Get(HeaderEntity))
 	}
 	if sid := r.Header.Get(HeaderSession); sid != "" {
 		rt.sessions.note(sid, tokenCity, seq)
@@ -1175,6 +1189,10 @@ type countersJSON struct {
 	EdgeMisses         int64 `json:"edgeMisses"`
 	EdgeCoalesced      int64 `json:"edgeCoalesced"`
 	EdgeInvalidations  int64 `json:"edgeInvalidations"`
+	EdgeProvenHits     int64 `json:"edgeProvenHits"`
+	// EdgeFallbacks counts lookups the edge cache's change log could not
+	// decide, by reason (gap, wrap, epoch, pinned, unstamped).
+	EdgeFallbacks map[string]int64 `json:"edgeFallbacks"`
 }
 
 // shardHealth is one shard's row in the router's /healthz: the node
@@ -1217,7 +1235,12 @@ func (rt *Router) handleHealth(w http.ResponseWriter, _ *http.Request) {
 			EdgeMisses:         rt.ctr.edgeMisses.Value(),
 			EdgeCoalesced:      rt.ctr.edgeCoalesced.Value(),
 			EdgeInvalidations:  rt.ctr.edgeInvalidations.Value(),
+			EdgeProvenHits:     rt.ctr.edgeProven.Value(),
+			EdgeFallbacks:      make(map[string]int64, numFallbacks),
 		},
+	}
+	for i, c := range rt.ctr.edgeFallbacks {
+		rep.Counters.EdgeFallbacks[fallbackNames[i]] = c.Value()
 	}
 	if rt.edge != nil {
 		rep.EdgeEntries = rt.edge.len()

@@ -433,6 +433,9 @@ func TestWireHeadersMatchServer(t *testing.T) {
 	if HeaderAppliedSeq != server.HeaderAppliedSeq {
 		t.Fatalf("applied-seq header drifted: router %q vs server %q", HeaderAppliedSeq, server.HeaderAppliedSeq)
 	}
+	if HeaderEntity != server.HeaderEntity {
+		t.Fatalf("entity header drifted: router %q vs server %q", HeaderEntity, server.HeaderEntity)
+	}
 }
 
 // TestPinnedReadNeverServedStale: when the primary becomes unreachable,

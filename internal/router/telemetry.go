@@ -13,7 +13,7 @@ import (
 // countersJSON fields /healthz reports; both read the same values.
 func newCounters(reg *telemetry.Registry) counters {
 	c := func(name, help string) *telemetry.Counter { return reg.Counter(name, help) }
-	return counters{
+	ctr := counters{
 		readsTotal:         c("gt_router_reads_total", "GETs routed."),
 		readsPrimary:       c("gt_router_reads_primary_total", "Reads served by a shard's primary."),
 		readsFollower:      c("gt_router_reads_follower_total", "Reads served by a follower replica."),
@@ -27,8 +27,14 @@ func newCounters(reg *telemetry.Registry) counters {
 		edgeHits:           c("gt_router_edgecache_hits_total", "Routed reads served from the edge cache, zero proxy hops."),
 		edgeMisses:         c("gt_router_edgecache_misses_total", "Edge-cache lookups that missed or failed freshness validation."),
 		edgeCoalesced:      c("gt_router_edgecache_coalesced_total", "Concurrent misses collapsed into another request's fill."),
-		edgeInvalidations:  c("gt_router_edgecache_invalidations_total", "City commit floors raised (or cities purged) by proxied mutations."),
+		edgeInvalidations:  c("gt_router_edgecache_invalidations_total", "Proxied mutations recorded by the edge cache (each invalidates the entity it changed), plus city purges."),
+		edgeProven:         c("gt_router_edgecache_proven_hits_total", "Edge-cache hits rendered below the reader's floor, proven current by the change log."),
 	}
+	for i, name := range fallbackNames {
+		ctr.edgeFallbacks[i] = reg.Counter("gt_router_edgecache_fallbacks_total",
+			"Edge-cache lookups the change log could not decide, served by the plain applied-seq rule (reason epoch: term changes that purged a city).", "reason", name)
+	}
+	return ctr
 }
 
 // instrument attaches per-node scrape instruments to the health feed:

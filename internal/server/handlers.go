@@ -38,16 +38,33 @@ const (
 	// against a commit token without a second round trip. Absent when the
 	// city runs without persistence: no sequence space exists then.
 	HeaderAppliedSeq = "X-GT-Applied-Seq"
+	// HeaderEntity names the one entity a response depends on (GETs) or a
+	// mutation created or changed (beside its commit token): "static" for
+	// the city info and POI lists, which no mutation touches,
+	// "group/{id}" or "package/{id}" otherwise. Groups are immutable once
+	// created, and every mutation changes exactly one group or package,
+	// so a cache that knows which entity each commit named can keep
+	// serving every entity the commits since its render did not name
+	// (the router's edge cache, see internal/router/edgecache.go).
+	HeaderEntity = "X-GT-Entity"
 )
 
-// seqToken stamps a mutation's commit token onto the response headers;
-// it must run before the status line is written. A zero sequence (no
-// persistence configured — and therefore no replicas to outrun) stamps
-// nothing.
-func (cs *cityState) seqToken(w http.ResponseWriter, seq int64) {
+// entityStatic is the entity of the city's fixed data: its info and POIs.
+const entityStatic = "static"
+
+func groupEntity(id int) string   { return "group/" + strconv.Itoa(id) }
+func packageEntity(id int) string { return "package/" + strconv.Itoa(id) }
+
+// seqToken stamps a mutation's commit token and the entity it changed
+// onto the response headers; it must run before the status line is
+// written. A zero sequence (no persistence configured — and therefore no
+// replicas to outrun) stamps nothing.
+func (cs *cityState) seqToken(w http.ResponseWriter, seq int64, entity string) {
 	if seq > 0 {
-		w.Header().Set(HeaderCity, cs.key)
-		w.Header().Set(HeaderSeq, strconv.FormatInt(seq, 10))
+		h := w.Header()
+		h.Set(HeaderCity, cs.key)
+		h.Set(HeaderSeq, strconv.FormatInt(seq, 10))
+		h.Set(HeaderEntity, entity)
 	}
 }
 
@@ -62,6 +79,7 @@ type cityResponse struct {
 }
 
 func (cs *cityState) handleCity(w http.ResponseWriter, _ *http.Request) {
+	w.Header().Set(HeaderEntity, entityStatic)
 	cs.serveCached(w, "city", http.StatusOK, func() any {
 		counts := cs.city.POIs.CategoryCounts()
 		resp := cityResponse{
@@ -105,6 +123,7 @@ func (cs *cityState) handlePOIs(w http.ResponseWriter, r *http.Request) {
 	// hot path is a map hit plus one Write — no url.Values, no strconv.
 	// An unbounded query string would let clients mint cache keys at
 	// will; long queries are answered but never cached.
+	w.Header().Set(HeaderEntity, entityStatic)
 	cacheable := len(r.URL.RawQuery) <= maxCacheKeyQuery
 	var key string
 	v := cs.cacheVersion.Load()
@@ -237,7 +256,7 @@ func (cs *cityState) handleCreateGroup(w http.ResponseWriter, r *http.Request) {
 		cs.mu.Unlock()
 		logRec(store.GroupCreateRecord(id, g))
 	})
-	cs.seqToken(w, seq)
+	cs.seqToken(w, seq, groupEntity(id))
 	writeJSON(w, http.StatusCreated, groupResponse{
 		ID: id, Size: g.Size(), Uniformity: g.Uniformity(), MedianUser: g.MedianUser(), Seq: seq,
 	})
@@ -271,6 +290,7 @@ func (cs *cityState) handleGetGroup(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "%v", err)
 		return
 	}
+	w.Header().Set(HeaderEntity, groupEntity(id))
 	cs.serveCached(w, "grp/"+r.PathValue("id"), http.StatusOK, func() any {
 		return groupResponse{
 			ID: id, Size: gs.group.Size(), Uniformity: gs.group.Uniformity(), MedianUser: gs.group.MedianUser(),
@@ -408,7 +428,7 @@ func (cs *cityState) handleCreatePackage(w http.ResponseWriter, r *http.Request)
 	resp := cs.renderPackage(id, ps, false)
 	ps.mu.Unlock()
 	resp.Seq = seq
-	cs.seqToken(w, seq)
+	cs.seqToken(w, seq, packageEntity(id))
 	writeJSON(w, http.StatusCreated, resp)
 }
 
@@ -463,6 +483,7 @@ func (cs *cityState) handleGetPackage(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "%v", err)
 		return
 	}
+	w.Header().Set(HeaderEntity, packageEntity(id))
 	routes := r.URL.Query().Get("routes") == "1"
 	key := "pkg/" + r.PathValue("id")
 	if routes {
@@ -571,7 +592,7 @@ func (cs *cityState) handleOps(w http.ResponseWriter, r *http.Request) {
 	}
 	resp.Applied = true
 	resp.Seq = seq
-	cs.seqToken(w, seq)
+	cs.seqToken(w, seq, packageEntity(pid))
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -650,6 +671,7 @@ func (cs *cityState) handleRefine(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := refineResponse{Strategy: strings.ToLower(req.Strategy), Operations: nOps}
+	var entity string // the rebuilt package; the refined one is left as it was
 	if req.Rebuild {
 		k := req.K
 		if k == 0 {
@@ -681,7 +703,8 @@ func (cs *cityState) handleRefine(w http.ResponseWriter, r *http.Request) {
 		pr := cs.renderPackage(id, nps, false)
 		nps.mu.Unlock()
 		resp.NewPackage = &pr
+		entity = packageEntity(id)
 	}
-	cs.seqToken(w, resp.Seq)
+	cs.seqToken(w, resp.Seq, entity)
 	writeJSON(w, http.StatusOK, resp)
 }
